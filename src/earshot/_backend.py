@@ -1,28 +1,4 @@
-"""Select the kernel implementation once, at import time.
+# The benchmark (bench/tracer.py, bench/run.py) binds these two names; NumPy is the only kernel module.
+from . import _kernels_np as kernels
 
-The compiled extension is preferred when present.  Set EARSHOT_BACKEND=numpy
-to force the fallback (useful for benchmarking), or EARSHOT_BACKEND=cython to
-fail loudly when the extension is missing.
-"""
-
-import os
-
-_choice = os.environ.get("EARSHOT_BACKEND", "").strip().lower()
-if _choice not in ("", "cython", "numpy"):
-    raise ImportError(f"EARSHOT_BACKEND must be 'cython' or 'numpy', got {_choice!r}")
-
-if _choice == "numpy":
-    from . import _kernels_np as kernels
-
-    BACKEND = "numpy"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        if _choice == "cython":
-            raise
-        from . import _kernels_np as kernels  # type: ignore[no-redef]
-
-        BACKEND = "numpy"
+BACKEND = "numpy"

@@ -1,35 +1,63 @@
-"""Numpy fallback for the compiled kernels in ``_kernels.pyx``.
+"""The two hot kernels: the steered-power scan and fractional-delay mixing.
 
-Same contracts as the Cython versions.  ``lerp_mix`` evaluates the identical
-per-sample expression and is bit-for-bit equal to the compiled kernel;
-``steered_power`` reduces in a different order, so the two backends agree to
-rounding (~1e-13 relative), not to the bit.
+Both are deterministic: repeated calls with the same inputs produce the same
+bytes.
 """
 
 import numpy as np
 
-_AZ_BLOCK = 16
+# (key, cos, sin) of the last steering input seen by ``steered_power``.  One
+# corpus uses one geometry, grid and band, so a single entry hits on every
+# call after the first.  The tuple is replaced whole, never mutated.
+_tables = (None, None, None)
 
 
 def steered_power(g_re, g_im, tau, omega):
-    """Steered response r[b] = sum_{p,k} Re{G[p,k] * exp(i*omega[k]*tau[b,p])}."""
-    n_az = tau.shape[0]
-    out = np.empty(n_az)
-    # Work in azimuth blocks to bound the (az, pairs, bins) phase tensor.
-    for start in range(0, n_az, _AZ_BLOCK):
-        stop = min(start + _AZ_BLOCK, n_az)
-        phase = tau[start:stop, :, None] * omega[None, None, :]
-        out[start:stop] = np.einsum("pk,bpk->b", g_re, np.cos(phase)) - np.einsum(
-            "pk,bpk->b", g_im, np.sin(phase)
-        )
-    return out
+    """Steered response r[b] = sum_{p,k} Re{G[p,k] * exp(i*omega[k]*tau[b,p])}.
+
+    g_re, g_im : (pairs, bins) frame-summed cross-spectra, real and imag parts
+    tau        : (azimuths, pairs) steering delay differences in seconds
+    omega      : (bins,) angular frequencies 2*pi*f
+
+    The cos/sin tables depend only on ``tau`` and ``omega``; they are kept for
+    the last pair seen, keyed by shape and bytes, so a cache hit is exact.
+    """
+    global _tables
+    key = (tau.shape, tau.tobytes(), omega.tobytes())
+    cached, cos_t, sin_t = _tables
+    if cached != key:
+        phase = tau[:, :, None] * omega[None, None, :]
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        _tables = (key, cos_t, sin_t)
+    return np.einsum("pk,bpk->b", g_re, cos_t) - np.einsum("pk,bpk->b", g_im, sin_t)
 
 
 def lerp_mix(out, sig, delay, amp, lead):
-    """Accumulate a time-varying fractional delay of ``sig`` into ``out``."""
-    pos = lead + np.arange(out.shape[0], dtype=np.float64) - delay
-    lo = np.floor(pos).astype(np.int64)
-    ok = (amp != 0.0) & (lo >= 0) & (lo + 1 < sig.shape[0])
-    idx = lo[ok]
-    frac = pos[ok] - idx
-    out[ok] += amp[ok] * (sig[idx] + frac * (sig[idx + 1] - sig[idx]))
+    """Accumulate a time-varying fractional delay of ``sig`` into ``out``.
+
+    out[n] += amp[n] * sig(lead + n - delay[n]) with linear interpolation
+    between samples.  ``lead`` is the number of warm-up samples prepended to
+    ``sig`` so that early output samples can look back before t = 0.  Samples
+    with amp[n] == 0, or whose read position falls outside ``sig``, contribute
+    nothing.
+    """
+    # Runs of non-zero amp as (start, stop) rows.
+    runs = np.flatnonzero(np.diff(amp != 0.0, prepend=False, append=False)).reshape(-1, 2)
+    for a, b in runs:
+        pos = np.arange(lead + a, lead + b, dtype=np.float64)
+        pos -= delay[a:b]
+        lo = np.floor(pos)
+        idx = lo.astype(np.int64)
+        frac = np.subtract(pos, lo, out=pos)
+        gain = amp[a:b]
+        ok = slice(None)  # only a run whose reads leave sig pays for a mask
+        if idx.min() < 0 or idx.max() + 1 >= sig.shape[0]:
+            ok = (idx >= 0) & (idx + 1 < sig.shape[0])
+            idx, frac, gain = idx[ok], frac[ok], gain[ok]
+        left = sig[idx]
+        mix = sig[1:][idx]
+        mix -= left
+        mix *= frac
+        mix += left
+        mix *= gain
+        out[a:b][ok] += mix

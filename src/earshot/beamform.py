@@ -74,11 +74,13 @@ def steering_delays(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
     return -(geometry.positions @ u) / geometry.speed_of_sound
 
 
-def gcc_phat_cross(stack: StftStack, i: int, j: int, eps: float = PHAT_EPSILON) -> np.ndarray:
+def gcc_phat_cross(stack: StftStack, i, j, eps: float = PHAT_EPSILON) -> np.ndarray:
     """Phase-transform cross-spectrum of channels i and j, shaped (frames, bins).
 
     Each time-frequency cell is X_i * conj(X_j) divided by max(|.|, eps), so
-    cells carry phase only and an all-zero frame stays exactly zero.
+    cells carry phase only and an all-zero frame stays exactly zero.  With
+    equal-length index arrays for i and j the result stacks one cross-spectrum
+    per pair, shaped (pairs, frames, bins).
     """
     cross = stack.data[i] * np.conj(stack.data[j])
     return cross / np.maximum(np.abs(cross), eps)
@@ -98,14 +100,10 @@ def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None
     if stack.n_frames < 1 or stack.n_bins < 1:
         raise ValueError("empty spectrogram stack")
 
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    g_sum = np.empty((len(pairs), stack.n_bins), dtype=np.complex128)
-    for p, (i, j) in enumerate(pairs):
-        g_sum[p] = gcc_phat_cross(stack, i, j).sum(axis=0)
+    left, right = np.triu_indices(m, 1)
+    g_sum = gcc_phat_cross(stack, left, right).sum(axis=1)
 
     delays = np.stack([steering_delays(geometry, a) for a in grid.bin_centers])
-    left = np.array([i for i, _ in pairs])
-    right = np.array([j for _, j in pairs])
     tau = np.ascontiguousarray(delays[:, left] - delays[:, right])
     omega = 2.0 * np.pi * stack.bin_freqs
 
@@ -115,7 +113,7 @@ def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None
         tau,
         omega,
     )
-    norm = len(pairs) * stack.n_frames * stack.n_bins
+    norm = left.size * stack.n_frames * stack.n_bins
     return DoaResponse(np.maximum(r, 0.0) / norm, grid)
 
 

@@ -19,23 +19,20 @@ import sys
 
 from . import __version__
 from ._backend import BACKEND
-from .audio import AudioClip, WavError, load_geometry, load_wav
-from .classifier import load_model, predict, save_model, train
+from .audio import WavError, load_geometry, load_wav
+from .classifier import load_model, save_model, train
 from .dataset import ManifestEntry, extract_samples, load_manifest
 from .evaluate import (
-    WindowScore,
     cross_validate,
     doa_baseline_eval,
     mic_study_to_csv,
     mic_subset_study,
     sliding_window_eval,
     window_scores_to_csv,
-    window_times,
 )
 from .features import (
     PipelineConfig,
     augment_training_set,
-    extract_feature,
     load_features,
     save_features,
 )
@@ -49,14 +46,20 @@ class UsageError(Exception):
     """Bad flag or configuration value; maps to exit code 2."""
 
 
+# Run-config key of each PipelineConfig field; their defaults come from
+# PipelineConfig itself.
+_PIPELINE_KEYS = {
+    "window": "sample_len",
+    "segments": "segments",
+    "bins": "bins",
+    "fmin": "f_min",
+    "fmax": "f_max",
+    "frame": "frame_len",
+    "hop": "hop",
+}
+
 _DEFAULTS = {
-    "window": 1.0,
-    "segments": 2,
-    "bins": 30,
-    "fmin": 50.0,
-    "fmax": 1500.0,
-    "frame": 2048,
-    "hop": 1024,
+    **{key: getattr(PipelineConfig(), name) for key, name in _PIPELINE_KEYS.items()},
     "lambda": 1.0,
     "seed": 0,
     "folds": 5,
@@ -112,15 +115,7 @@ def resolve_run_config(args) -> dict:
 
 def _pipeline(run: dict) -> PipelineConfig:
     try:
-        return PipelineConfig(
-            sample_len=run["window"],
-            segments=run["segments"],
-            bins=run["bins"],
-            f_min=run["fmin"],
-            f_max=run["fmax"],
-            frame_len=run["frame"],
-            hop=run["hop"],
-        )
+        return PipelineConfig(**{name: run[key] for key, name in _PIPELINE_KEYS.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -196,6 +191,7 @@ def cmd_predict(args, run: dict) -> int:
     geometry = load_geometry(args.geometry)
     if args.situation in ("left", "right") and args.t0 is None:
         raise UsageError(f"--situation {args.situation} needs --t0 for scoring")
+    entry = None
     if args.situation is not None:
         entry = ManifestEntry(
             wav=args.wav,
@@ -204,24 +200,11 @@ def cmd_predict(args, run: dict) -> int:
             motion="static",
             t0=args.t0,
         )
-        scores = sliding_window_eval(
-            entry, model, cfg, hop_seconds=run["stride"], clip=clip, geometry=geometry
-        )
-    else:
-        scores = []
-        length = int(round(cfg.sample_len * clip.sample_rate))
-        for t_e in window_times(clip.duration, cfg.sample_len, run["stride"]):
-            end = min(int(round(t_e * clip.sample_rate)), clip.n_samples)
-            window = AudioClip(clip.samples[:, end - length : end], clip.sample_rate)
-            pred = predict(model, extract_feature(window, geometry, cfg))
-            scores.append(
-                WindowScore(
-                    t_e=t_e, probs=pred.probs, label_pred=pred.label,
-                    accepted=(), correct=False,
-                )
-            )
+    scores = sliding_window_eval(
+        entry, model, cfg, hop_seconds=run["stride"], clip=clip, geometry=geometry
+    )
     _emit(window_scores_to_csv(scores, preamble=_provenance(run)), args.out)
-    if args.situation is not None:
+    if entry is not None:
         hits = sum(1 for s in scores if s.correct)
         print(f"{hits}/{len(scores)} windows correct", file=sys.stderr)
     return 0

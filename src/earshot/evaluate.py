@@ -274,12 +274,14 @@ def window_times(duration: float, sample_len: float, hop_seconds: float) -> list
     return [sample_len + i * hop_seconds for i in range(n_steps)]
 
 
-def sliding_window_eval(entry: ManifestEntry, model, config: PipelineConfig,
+def sliding_window_eval(entry: ManifestEntry | None, model, config: PipelineConfig,
                         hop_seconds: float = 0.1, clip=None, geometry=None) -> list:
     """Classify windows ending every hop_seconds and score them on overlap rules.
 
     Returns one WindowScore per evaluation time t_e = sample_len,
-    sample_len + hop, ... up to the clip duration.
+    sample_len + hop, ... up to the clip duration.  With entry None the clip
+    and geometry must be given; windows are classified but not scored, so
+    every score has no accepted labels and is not correct.
     """
     if clip is None:
         clip = load_wav(entry.wav)
@@ -292,7 +294,7 @@ def sliding_window_eval(entry: ManifestEntry, model, config: PipelineConfig,
         window = AudioClip(clip.samples[:, end - length : end], clip.sample_rate)
         feature = extract_feature(window, geometry, config)
         pred = predict(model, feature)
-        accepted = accepted_labels(entry.situation, entry.t0, t_e)
+        accepted = () if entry is None else accepted_labels(entry.situation, entry.t0, t_e)
         scores.append(
             WindowScore(
                 t_e=t_e,

@@ -13,6 +13,8 @@ a training-time operation only; nothing here ever touches test samples.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, replace
 
@@ -182,59 +184,58 @@ def save_features(samples, path, extra_header: dict | None = None) -> None:
 
     Layout: comment preamble with the extraction config, then a header row
     recording_id,label,env,motion,t_e,x_0,...,x_{LB-1} and one row per sample.
+    Fields are CSV-quoted where needed, so recording ids may hold commas.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("refusing to write an empty feature cache")
     config = samples[0].feature.config
     dim = config.feature_dim
-    lines = [f"# config: {json.dumps(config.to_dict(), sort_keys=True)}"]
-    lines.append(f"# config_hash: {config.hash}")
+    buf = io.StringIO()
+    buf.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
+    buf.write(f"# config_hash: {config.hash}\n")
     for key, value in (extra_header or {}).items():
-        lines.append(f"# {key}: {value}")
+        buf.write(f"# {key}: {value}\n")
     cols = ["recording_id", "label", "env", "motion", "t_e"]
     cols += [f"x_{i}" for i in range(dim)]
-    lines.append(",".join(cols))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
     for s in samples:
         if s.feature.config != config:
             raise ValueError("all samples in one cache must share a config")
         row = [s.meta.recording_id, s.label, s.meta.environment, s.meta.motion, repr(float(s.meta.t_e))]
         row += [repr(float(v)) for v in s.feature.flat]
-        lines.append(",".join(row))
-    write_text(path, "\n".join(lines) + "\n")
+        writer.writerow(row)
+    write_text(path, buf.getvalue())
 
 
 def load_features(path) -> list:
     """Read a feature cache CSV back into LabeledSamples."""
     config = None
-    samples = []
+    rows = []
     with open(path) as fh:
-        header = None
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
+        for line in fh:
             if line.startswith("#"):
                 text = line[1:].strip()
                 if text.startswith("config:"):
                     config = PipelineConfig.from_dict(json.loads(text[len("config:") :]))
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            if config is None:
-                raise ValueError(f"{path}: missing config preamble")
-            parts = line.split(",")
-            rid, label, env, motion, t_e = parts[:5]
-            values = np.array([float(v) for v in parts[5:]])
-            matrix = values.reshape(config.segments, config.bins)
-            samples.append(
-                LabeledSample(
-                    feature=DoaFeature(matrix, config),
-                    label=label,
-                    meta=SampleMeta(rid, env, motion, float(t_e)),
-                )
-            )
-    if header is None:
+            elif line.strip():
+                rows.append(line)
+    reader = csv.reader(rows)
+    if next(reader, None) is None:
         raise ValueError(f"{path}: no header row")
+    samples = []
+    for parts in reader:
+        if config is None:
+            raise ValueError(f"{path}: missing config preamble")
+        rid, label, env, motion, t_e = parts[:5]
+        values = np.array([float(v) for v in parts[5:]])
+        matrix = values.reshape(config.segments, config.bins)
+        samples.append(
+            LabeledSample(
+                feature=DoaFeature(matrix, config),
+                label=label,
+                meta=SampleMeta(rid, env, motion, float(t_e)),
+            )
+        )
     return samples

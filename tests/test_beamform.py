@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from earshot import _kernels_np as kernels
 from earshot.audio import ArrayGeometry, AudioClip
 from earshot.beamform import (
     AzimuthGrid,
@@ -199,41 +200,75 @@ def test_argmax_tie_rules():
     assert argmax_doa(resp([19])) == 27.0  # bin containing +25 deg
 
 
-def test_backends_agree_on_steered_power():
-    try:
-        from earshot import _kernels
-    except ImportError:
-        pytest.skip("compiled extension not built")
-    from earshot import _kernels_np
+def _steered_power_reference(g_re, g_im, tau, omega, block=16):
+    """Blocked cos/sin scan, recomputing the tables on every call."""
+    n_az = tau.shape[0]
+    out = np.empty(n_az)
+    for start in range(0, n_az, block):
+        stop = min(start + block, n_az)
+        phase = tau[start:stop, :, None] * omega[None, None, :]
+        out[start:stop] = np.einsum("pk,bpk->b", g_re, np.cos(phase)) - np.einsum(
+            "pk,bpk->b", g_im, np.sin(phase)
+        )
+    return out
 
+
+def _lerp_mix_reference(out, sig, delay, amp, lead):
+    """Per-sample boolean mask over the whole output."""
+    pos = lead + np.arange(out.shape[0], dtype=np.float64) - delay
+    lo = np.floor(pos).astype(np.int64)
+    ok = (amp != 0.0) & (lo >= 0) & (lo + 1 < sig.shape[0])
+    idx = lo[ok]
+    frac = pos[ok] - idx
+    out[ok] += amp[ok] * (sig[idx] + frac * (sig[idx + 1] - sig[idx]))
+
+
+def test_steered_power_matches_reference_across_alternating_inputs():
+    """The cached tables follow tau and omega; a stale table would show here."""
     rng = np.random.default_rng(17)
-    g_re = rng.standard_normal((28, 62))
-    g_im = rng.standard_normal((28, 62))
-    tau = rng.uniform(-2e-3, 2e-3, size=(30, 28))
-    omega = 2 * np.pi * rng.uniform(50, 1500, size=62)
-    fast = _kernels.steered_power(g_re, g_im, tau, omega)
-    plain = _kernels_np.steered_power(g_re, g_im, tau, omega)
-    assert np.allclose(fast, plain, rtol=1e-9, atol=1e-12)
+
+    def scan_input(n_az, n_pairs, n_bins, tau=None, omega=None):
+        g_re = rng.standard_normal((n_pairs, n_bins))
+        g_im = rng.standard_normal((n_pairs, n_bins))
+        if tau is None:
+            tau = rng.uniform(-2e-3, 2e-3, size=(n_az, n_pairs))
+        if omega is None:
+            omega = 2 * np.pi * rng.uniform(50, 1500, size=n_bins)
+        return g_re, g_im, tau, omega
+
+    a = scan_input(30, 28, 62)
+    b = scan_input(17, 6, 40)
+    c = scan_input(30, 28, 62, tau=a[2].copy())  # same tau as a, new omega
+    d = scan_input(28, 30, 62, tau=a[2].reshape(28, 30), omega=a[3])  # same bytes, new shape
+    for args in (a, b, a, c, a, d, b, a):
+        assert np.array_equal(kernels.steered_power(*args), _steered_power_reference(*args))
 
 
-def test_backends_agree_exactly_on_lerp_mix():
-    try:
-        from earshot import _kernels
-    except ImportError:
-        pytest.skip("compiled extension not built")
-    from earshot import _kernels_np
-
+def test_lerp_mix_matches_reference_bit_for_bit():
     rng = np.random.default_rng(23)
-    n = 5000
+    n, lead = 5000, 100
     sig = rng.standard_normal(n + 200)
-    delay = rng.uniform(0.0, 60.0, n)
-    amp = rng.uniform(0.2, 1.0, n)
-    amp[::7] = 0.0
-    a = np.zeros(n)
-    b = np.zeros(n)
-    _kernels.lerp_mix(a, sig, delay, amp, 100)
-    _kernels_np.lerp_mix(b, sig, delay, amp, 100)
-    assert np.array_equal(a, b)
+
+    # Read positions leave sig at both ends, and zero gaps cut many runs.
+    wild_delay = rng.uniform(-250.0, 150.0, n)
+    gappy = rng.uniform(0.2, 1.0, n)
+    gappy[::7] = 0.0
+    gappy[1200:1900] = 0.0
+    # Renderer-like: a smooth delay that stays inside sig, and one run from
+    # the first sample, one interior and one reaching the last sample.
+    smooth_delay = 40.0 + 30.0 * np.sin(np.linspace(0.0, 3.0, n))
+    runs = np.zeros(n)
+    runs[:300] = 0.5
+    runs[1000:3000] = np.linspace(0.1, 1.0, 2000)
+    runs[4500:] = 2.0
+
+    for delay, amp in ((wild_delay, gappy), (smooth_delay, runs), (wild_delay, runs),
+                       (smooth_delay, np.zeros(n))):
+        start = rng.standard_normal(n)  # mixing accumulates into existing content
+        got, want = start.copy(), start.copy()
+        kernels.lerp_mix(got, sig, delay, amp, lead)
+        _lerp_mix_reference(want, sig, delay, amp, lead)
+        assert np.array_equal(got, want)
 
 
 def test_validation_errors():

@@ -1,6 +1,8 @@
 """End-to-end runs of the command line against a small synthetic corpus."""
 
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import pytest
 from earshot import __version__
 from earshot.audio import AudioClip, write_wav, save_geometry
 from earshot.cli import build_parser, main, resolve_run_config
-from earshot.dataset import load_manifest
+from earshot.dataset import RecordingManifest, load_manifest, save_manifest
 from earshot.synth import random_planar_array
+from earshot.util import config_hash
 
 from synthref import render_plane_wave
 
@@ -66,6 +69,17 @@ def test_config_precedence(tmp_path):
     run = resolve_run_config(parser.parse_args(base + ["--lambda", "5.0"]))
     assert run["lambda"] == 5.0
     assert run["stride"] == 0.25
+
+
+def test_default_run_config_and_hash():
+    """Extraction defaults come from PipelineConfig; the resolved table is fixed."""
+    run = resolve_run_config(build_parser().parse_args(["train", "f.csv", "--out", "m.json"]))
+    assert run == {
+        "window": 1.0, "segments": 2, "bins": 30, "fmin": 50.0, "fmax": 1500.0,
+        "frame": 2048, "hop": 1024, "lambda": 1.0, "seed": 0, "folds": 5,
+        "augment": True, "alpha_th": 50.0, "baseline": "svm", "stride": 0.1,
+    }
+    assert config_hash(run) == "36273eb1a53a"
 
 
 def test_exit_codes_for_bad_configuration(tmp_path, capsys):
@@ -205,6 +219,21 @@ def test_predict_without_truth_leaves_accepted_blank(tmp_path, arts,
     capsys.readouterr()
 
 
+def test_predict_windows_match_with_and_without_truth(tmp_path, arts, bench_manifest, capsys):
+    entry = next(e for e in bench_manifest if e.situation == "right")
+    base = [str(entry.wav), str(entry.geometry), "--model", str(arts["model"])]
+    scored, plain = tmp_path / "scored.csv", tmp_path / "plain.csv"
+    assert main(["predict", *base, "--situation", "right", "--t0", repr(entry.t0),
+                 "--out", str(scored)]) == 0
+    assert main(["predict", *base, "--out", str(plain)]) == 0
+    cols = ["t_e", "p_left", "p_front", "p_right", "p_none", "label_pred"]
+    _, scored_rows = read_rows(scored)
+    _, plain_rows = read_rows(plain)
+    assert scored_rows
+    assert [[r[c] for c in cols] for r in plain_rows] == [[r[c] for c in cols] for r in scored_rows]
+    capsys.readouterr()
+
+
 def test_predict_side_truth_requires_t0(arts, bench_manifest, capsys):
     entry = next(e for e in bench_manifest if e.situation == "left")
     code = main(["predict", str(entry.wav), str(entry.geometry),
@@ -232,9 +261,16 @@ def test_simulate_then_extract_round_trip(tmp_path, capsys):
     manifest = out / "manifest.csv"
     assert manifest.exists()
     assert len(load_manifest(manifest)) == 3
+    # Recorder file names may hold commas; the feature cache must survive one.
+    entries = load_manifest(manifest).entries
+    odd = out / "junction,take 1.wav"
+    os.rename(entries[0].wav, odd)
+    entries[0] = replace(entries[0], wav=str(odd))
+    save_manifest(RecordingManifest(entries), manifest)
     features = tmp_path / "tiny.csv"
     assert main(["extract", str(manifest), "--out", str(features)]) == 0
     assert features.read_text().count("\n") > 3
+    assert main(["train", str(features), "--out", str(tmp_path / "tiny.json")]) == 0
     capsys.readouterr()
 
 

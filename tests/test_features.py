@@ -156,6 +156,25 @@ def test_feature_cache_round_trip(tmp_path):
         assert got.feature.config == cfg
 
 
+def test_feature_cache_quotes_recording_ids(tmp_path):
+    """An id with a comma round-trips; ids that need no quoting stay bare."""
+    cfg = PipelineConfig()
+    samples = [sample_stub("left", "junction,take 1", cfg, seed=1),
+               sample_stub("none", 'say "hi"', cfg, seed=2),
+               sample_stub("right", "plain", cfg, seed=3)]
+    path = tmp_path / "cache.csv"
+    save_features(samples, path)
+    plain = samples[2]
+    fields = ["plain", "right", "A", "static", repr(plain.meta.t_e)]
+    fields += [repr(float(v)) for v in plain.feature.flat]
+    assert path.read_text().splitlines()[-1] == ",".join(fields)
+
+    back = load_features(path)
+    assert [s.meta.recording_id for s in back] == ["junction,take 1", 'say "hi"', "plain"]
+    for orig, got in zip(samples, back):
+        assert np.array_equal(got.feature.matrix, orig.feature.matrix)
+
+
 def test_feature_cache_rejects_bad_input(tmp_path):
     cfg = PipelineConfig()
     with pytest.raises(ValueError):
