@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import atomic_open, write_text
+
 
 class WavError(Exception):
     """Base class for WAV parsing and encoding problems."""
@@ -33,6 +35,9 @@ class EmptyStreamError(WavError):
 
 _PCM = 1
 _IEEE_FLOAT = 3
+# A 4-byte item whose one field is its first three bytes: viewing <i4 samples
+# through it selects the little-endian 24-bit payload in a single copy.
+_LOW3 = np.dtype({"names": ["low3"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
 
 
 @dataclass
@@ -120,9 +125,7 @@ def save_geometry(geometry: ArrayGeometry, path) -> None:
         "speed_of_sound": geometry.speed_of_sound,
         "positions": [[float(v) for v in row] for row in geometry.positions],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_geometry(path) -> ArrayGeometry:
@@ -224,25 +227,32 @@ def load_wav(path) -> AudioClip:
 
 
 def write_wav(clip: AudioClip, path, encoding: str = "pcm24") -> None:
-    """Write an AudioClip as little-endian WAV.
+    """Write an AudioClip as little-endian WAV, atomically.
 
-    encoding is "pcm24" or "float32".  Samples outside [-1, 1] are rejected
-    rather than clipped, so quantization is the only loss.
+    encoding is "pcm24" or "float32".  Samples outside [-1, 1], and NaN or
+    infinite samples, are rejected rather than clipped, so quantization is the
+    only loss.
     """
     if encoding not in ("pcm24", "float32"):
         raise UnsupportedEncodingError(f"unknown encoding {encoding!r}")
-    peak = np.max(np.abs(clip.samples)) if clip.samples.size else 0.0
-    if peak > 1.0:
-        raise ValueError(f"samples exceed [-1, 1] (peak {peak:.6f}); refusing to clip")
+    samples = clip.samples
+    peak = np.maximum(samples.max(), -samples.min()) if samples.size else 0.0
+    if not peak <= 1.0:  # also true for NaN
+        raise ValueError(
+            f"samples must be finite and within [-1, 1] (peak {peak:.6f}); refusing to clip"
+        )
 
-    frames = np.ascontiguousarray(clip.samples.T)
     if encoding == "pcm24":
-        scaled = np.clip(np.round(frames * 8388608.0), -8388608, 8388607).astype("<i4")
-        payload = scaled.tobytes()
-        payload = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        # One C-ordered (frames, channels) buffer, scaled, rounded half to
+        # even and clipped in place, then cast once; the low three bytes of
+        # each <i4 are the little-endian 24-bit sample.
+        scaled = np.multiply(samples.T, 8388608.0, order="C")
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -8388608, 8388607, out=scaled)
+        payload = scaled.astype("<i4").view(_LOW3)["low3"].tobytes()
         audio_format, bits = _PCM, 24
     else:
-        payload = frames.astype("<f4").tobytes()
+        payload = np.ascontiguousarray(samples.T, dtype="<f4").tobytes()
         audio_format, bits = _IEEE_FLOAT, 32
 
     n_channels = clip.channels
@@ -253,7 +263,7 @@ def write_wav(clip: AudioClip, path, encoding: str = "pcm24") -> None:
     )
     pad = b"\x00" if len(payload) % 2 else b""
     riff_size = 4 + 8 + len(fmt) + 8 + len(payload) + len(pad)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
         fh.write(struct.pack("<4sI", b"fmt ", len(fmt)))
         fh.write(fmt)

@@ -7,10 +7,12 @@ straight line to a microphone clears every wall, plus one image per wall whose
 specular reflection point falls on the wall segment with both legs clear.
 Touching a wall endpoint counts as blocked, so geometry is conservative.
 
-Rendering walks the source along its path, accumulating each valid path with
-its per-sample fractional delay (distance / c) and 1/max(d, 0.5 m) amplitude
-into every channel, then adds white background noise and writes the first
-line-of-sight time t0 (to the array center) into the ground truth.
+Rendering walks the source along its path.  Which paths exist is decided
+per 64-sample block, for the direct path and every wall image and for all
+microphones at once; only the stretches where a path is valid are mixed into
+a channel, each sample with its fractional delay (distance / c) and
+1/max(d, 0.5 m) amplitude.  White background noise is added last, and the
+first line-of-sight time t0 (to the array center) goes into the ground truth.
 
 The stock scenario is a T-junction: the recorder looks down its own street at
 the crossing street behind the corner buildings.  Type A environments have a
@@ -48,20 +50,25 @@ def _blocked_matrix(walls: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarr
     """
     if walls.size == 0:
         return np.zeros((p.shape[0], 0), dtype=bool)
-    a = walls[:, 0, :][None, :, :]  # (1, W, 2)
-    b = walls[:, 1, :][None, :, :]
-    p = p[:, None, :]  # (N, 1, 2)
-    q = q[:, None, :]
-    ab = b - a
-    pq = q - p
-    d1 = _cross2(ab[..., 0], ab[..., 1], (p - a)[..., 0], (p - a)[..., 1])
-    d2 = _cross2(ab[..., 0], ab[..., 1], (q - a)[..., 0], (q - a)[..., 1])
-    d3 = _cross2(pq[..., 0], pq[..., 1], (a - p)[..., 0], (a - p)[..., 1])
-    d4 = _cross2(pq[..., 0], pq[..., 1], (b - p)[..., 0], (b - p)[..., 1])
+    ax, az = walls[:, 0, 0], walls[:, 0, 1]  # (W,)
+    bx, bz = walls[:, 1, 0], walls[:, 1, 1]
+    px, pz = p[:, :1], p[:, 1:]  # (N, 1)
+    qx, qz = q[:, :1], q[:, 1:]
+    abx, abz = bx - ax, bz - az
+    pqx, pqz = qx - px, qz - pz
+    pax, paz = px - ax, pz - az  # (N, W)
+    d1 = _cross2(abx, abz, pax, paz)
+    d2 = _cross2(abx, abz, qx - ax, qz - az)
+    d3 = _cross2(pax, paz, pqx, pqz)  # (p - a) x pq, bit for bit pq x (a - p)
+    d4 = _cross2(pqx, pqz, bx - px, bz - pz)
     hit = (d1 * d2 <= 0) & (d3 * d4 <= 0)
     collinear = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
     if np.any(collinear):
         # Collinear segments block only when their extents actually overlap.
+        a = walls[:, 0, :][None, :, :]  # (1, W, 2)
+        b = walls[:, 1, :][None, :, :]
+        p = p[:, None, :]  # (N, 1, 2)
+        q = q[:, None, :]
         lo_s = np.minimum(p, q)
         hi_s = np.maximum(p, q)
         lo_w = np.minimum(a, b)
@@ -109,16 +116,16 @@ def specular_valid(walls, wall_index: int, source, receiver) -> bool:
     """
     walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
     source = np.asarray(source, dtype=np.float64).reshape(1, 2)
-    receiver = np.asarray(receiver, dtype=np.float64)
-    valid, _, point = _specular_paths(walls, wall_index, source, receiver)
-    return bool(valid[0]) if point is not None else False
+    receiver = np.asarray(receiver, dtype=np.float64).reshape(1, 2)
+    return bool(_specular_valid(walls, wall_index, source, receiver)[0, 0])
 
 
-def _specular_paths(walls, wall_index, src, receiver):
-    """Vectorized reflection bookkeeping for per-sample source positions.
+def _specular_valid(walls, wall_index, src, receivers) -> np.ndarray:
+    """Reflection validity via one wall for many source positions and receivers.
 
-    src: (N, 2) positions.  Returns (valid (N,), image (N, 2), point (N, 2));
-    image and point are meaningful only where valid.
+    src: (N, 2), receivers: (R, 2).  Returns bool (R, N).  The image and the
+    source's wall distance are computed once; the legs of every receiver are
+    tested against the other walls in one batch.
     """
     a, b = walls[wall_index, 0], walls[wall_index, 1]
     u = b - a
@@ -126,24 +133,39 @@ def _specular_paths(walls, wall_index, src, receiver):
     u = u / length
     n = np.array([-u[1], u[0]])
     d_src = (src - a) @ n
-    d_rec = float((receiver - a) @ n)
+    image = src - 2.0 * d_src[:, None] * n
+    d_rec = np.array([float((r - a) @ n) for r in receivers])[:, None]  # (R, 1)
     same_side = (d_src * d_rec) > 0
 
-    image = src - 2.0 * d_src[:, None] * n
     denom = d_src + d_rec
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = np.where(denom != 0, d_src / denom, 0.0)
-    point = image + t_star[:, None] * (receiver - image)
+    point = image + t_star[..., None] * (receivers[:, None, :] - image)  # (R, N, 2)
     xi = (point - a) @ u
     on_wall = (xi >= 0.0) & (xi <= length)
 
     others = np.arange(walls.shape[0]) != wall_index
     other_walls = walls[others]
-    rec_tiled = np.broadcast_to(receiver, src.shape)
-    leg1 = _blocked_matrix(other_walls, src, point).any(axis=1)
-    leg2 = _blocked_matrix(other_walls, point, rec_tiled).any(axis=1)
-    valid = same_side & on_wall & ~leg1 & ~leg2
-    return valid, image, point
+    r, k = same_side.shape
+    point = point.reshape(r * k, 2)
+    leg1 = _blocked_matrix(other_walls, np.tile(src, (r, 1)), point)
+    leg2 = _blocked_matrix(other_walls, point, np.repeat(receivers, k, axis=0))
+    clear = ~(leg1 | leg2).any(axis=1).reshape(r, k)
+    return same_side & on_wall & clear
+
+
+def _path_validity(walls, src, receivers) -> np.ndarray:
+    """Direct-path and per-wall reflection validity, bool (R, 1 + W, N).
+
+    Index 0 of the middle axis is the direct path, 1 + w the image in wall w.
+    """
+    r, k = receivers.shape[0], src.shape[0]
+    valid = np.empty((r, 1 + walls.shape[0], k), dtype=bool)
+    blocked = _blocked_matrix(walls, np.tile(src, (r, 1)), np.repeat(receivers, k, axis=0))
+    valid[:, 0] = ~blocked.any(axis=1).reshape(r, k)
+    for w in range(walls.shape[0]):
+        valid[:, 1 + w] = _specular_valid(walls, w, src, receivers)
+    return valid
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +327,10 @@ def _source_signal(spec: SignalSpec, n_samples: int, sample_rate: int, seed: int
     return sig
 
 
-def _expand_mask(mask: np.ndarray, n: int) -> np.ndarray:
-    return np.repeat(mask, _MASK_STRIDE)[:n]
+def _sample_runs(mask: np.ndarray, n: int) -> np.ndarray:
+    """Runs of a per-block mask as sample (start, stop) rows, clipped to n."""
+    runs = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
+    return np.minimum(runs * _MASK_STRIDE, n)
 
 
 def _mic_world_positions(geometry: ArrayGeometry, pose: ArrayPose) -> np.ndarray:
@@ -362,23 +386,30 @@ def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000
         lead = int(np.ceil(max_dist / c * fs)) + 8
         sig = _source_signal(scenario.signal, lead + n + 2, fs, derive_seed(scenario.seed, "source"))
 
-        src_coarse = src[::_MASK_STRIDE]
-        images = [_mirror_points(src, walls[w, 0], walls[w, 1]) for w in range(walls.shape[0])]
+        valid = _path_validity(walls, coarse, mics)  # (m, 1 + W, blocks)
         scale = fs / c
-        for mi in range(m):
-            mic = mics[mi]
-            mic_tiled = np.broadcast_to(mic, src_coarse.shape)
-            direct_ok = ~_blocked_matrix(walls, src_coarse, mic_tiled).any(axis=1)
-            if np.any(direct_ok):
-                dist = np.hypot(*(src - mic).T)
-                amp = _expand_mask(direct_ok, n) / np.maximum(dist, 0.5)
-                _backend.kernels.lerp_mix(mixed[mi], sig, dist * scale, amp, lead)
-            for w in range(walls.shape[0]):
-                valid, _, _ = _specular_paths(walls, w, src_coarse, mic)
-                if np.any(valid):
-                    dist = np.hypot(*(images[w] - mic).T)
-                    amp = _expand_mask(valid, n) / np.maximum(dist, 0.5)
-                    _backend.kernels.lerp_mix(mixed[mi], sig, dist * scale, amp, lead)
+        for p in range(valid.shape[1]):
+            runs = [_sample_runs(valid[mi, p], n) for mi in range(m)]
+            heard = [r for r in runs if len(r)]
+            if not heard:
+                continue
+            if p == 0:
+                pts, lo = src, 0
+            else:
+                # Mirror only the span that some microphone hears.  A one-row
+                # matmul takes NumPy's dot path and may round differently, so
+                # the span keeps at least two rows.
+                hi = max(int(r[-1, 1]) for r in heard)
+                lo = min(min(int(r[0, 0]) for r in heard), max(hi - 2, 0))
+                pts = _mirror_points(src[lo:hi], walls[p - 1, 0], walls[p - 1, 1])
+            for mi in range(m):
+                mic = mics[mi]
+                for a, b in runs[mi]:
+                    seg = pts[a - lo : b - lo]
+                    dist = np.hypot(seg[:, 0] - mic[0], seg[:, 1] - mic[1])
+                    _backend.kernels.lerp_mix(
+                        mixed[mi, a:b], sig, dist * scale, 1.0 / np.maximum(dist, 0.5), lead + a
+                    )
 
     noise_rng = np.random.default_rng(derive_seed(scenario.seed, "noise"))
     clean_rms = float(np.sqrt(np.mean(mixed**2)))
@@ -386,9 +417,11 @@ def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000
         noise_std = clean_rms * 10.0 ** (-scenario.snr_db / 20.0)
     else:
         noise_std = scenario.noise_floor
-    mixed = mixed + noise_rng.standard_normal((m, n)) * noise_std
+    noise = noise_rng.standard_normal((m, n))
+    noise *= noise_std
+    mixed += noise
 
-    peak = float(np.max(np.abs(mixed)))
+    peak = float(max(mixed.max(), -mixed.min()))
     if peak > 0.95:
         mixed *= 0.95 / peak
     return RenderedRecording(AudioClip(mixed, fs), scenario.label, t0, scenario)

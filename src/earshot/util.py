@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -28,15 +29,29 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:12]
 
 
-def write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial output."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a fresh temp file beside ``path``; rename it over ``path`` on success.
+
+    ``mode`` is "w" or "wb".  If anything fails before the rename, the temp
+    file is removed and ``path`` is left as it was, so failures leave no
+    partial output.  The temp file is made by ``open``, not ``mkstemp``, so
+    the result gets the usual umask permissions.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-earshot-")
+    tmp = os.path.join(directory, f".tmp-earshot-{secrets.token_hex(8)}")
+    fh = open(tmp, mode.replace("w", "x"))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write a text file atomically (see ``atomic_open``)."""
+    with atomic_open(path) as fh:
+        fh.write(text)

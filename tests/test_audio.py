@@ -121,6 +121,29 @@ def test_write_rejects_out_of_range_samples(tmp_path):
     clip = AudioClip(np.array([[0.0, 1.5]]), 48000)
     with pytest.raises(ValueError, match="refusing to clip"):
         write_wav(clip, tmp_path / "x.wav")
+    for bad in (np.nan, np.inf, -np.inf):
+        clip = AudioClip(np.array([[0.0, bad, 0.5]]), 48000)
+        for encoding in ("pcm24", "float32"):
+            with pytest.raises(ValueError, match="refusing to clip"):
+                write_wav(clip, tmp_path / "x.wav", encoding=encoding)
+    assert not list(tmp_path.iterdir())
+
+
+def test_pcm24_packing_matches_round_and_clip_at_the_edges(tmp_path):
+    """Full scale, signed zero and round-half-even ties pack like np.round + np.clip."""
+    k = np.arange(-6, 6, dtype=np.float64)
+    values = np.concatenate([[-1.0, 1.0, -0.0, 0.0, 1.0 - 2.0**-24, -1.0 + 2.0**-24],
+                             (k + 0.5) / 2.0**23, (8388606.5 - np.arange(3)) / 2.0**23])
+    values = np.concatenate([values, -values[::-1]])
+    clip = AudioClip(values.reshape(2, -1), 48000)  # two channels, interleaved on disk
+    frames = clip.samples.T
+    codes = np.clip(np.round(frames * 8388608.0), -8388608, 8388607).astype("<i4")
+    expected = np.frombuffer(codes.tobytes(), dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    path = tmp_path / "edges.wav"
+    write_wav(clip, path, encoding="pcm24")
+    assert path.read_bytes()[44:44 + len(expected)] == expected
+    assert codes[0, 0] == -8388608 and codes[1, 0] == 8388607  # -1.0 fits, 1.0 clips
+    assert np.array_equal(load_wav(path).samples, codes.T / 8388608.0)
 
 
 def test_write_rejects_unknown_encoding(tmp_path):

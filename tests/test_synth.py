@@ -1,10 +1,14 @@
 """Plan-view acoustics: occlusion, first-order reflections, scene rendering."""
 
+import errno
+import io
 import os
 
 import numpy as np
 import pytest
 
+from earshot import synth, util
+from earshot._kernels_np import lerp_mix
 from earshot.audio import AudioClip, UnsupportedEncodingError, load_wav
 from earshot.beamform import argmax_doa, srp_phat
 from earshot.dataset import load_manifest
@@ -12,7 +16,9 @@ from earshot.features import PipelineConfig, extract_feature
 from earshot.stft import band_select, stft
 from earshot.evaluate import feature_response
 from earshot.synth import (
+    ArrayPose,
     Scenario,
+    SignalSpec,
     SourcePath,
     image_sources,
     line_of_sight,
@@ -25,6 +31,7 @@ from earshot.synth import (
     t_junction_scenario,
     t_junction_walls,
 )
+from earshot.util import derive_seed
 
 WALL_X = np.array([[[0.0, -1.0], [0.0, 1.0]]])  # a wall along the z axis
 
@@ -234,7 +241,16 @@ def test_make_benchmark_deterministic(tmp_path):
         assert a == b, name
 
 
-def test_make_benchmark_cleanup_on_failure(tmp_path):
+class _DiskFull(io.FileIO):
+    """A binary file that takes half of each write, then reports ENOSPC."""
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        super().write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_make_benchmark_cleanup_on_failure(tmp_path, monkeypatch):
     out = tmp_path / "broken"
     with pytest.raises(UnsupportedEncodingError):
         make_benchmark(out, per_class=1, seed=0, encoding="nope")
@@ -242,6 +258,173 @@ def test_make_benchmark_cleanup_on_failure(tmp_path):
     assert leftovers == []
     with pytest.raises(ValueError):
         make_benchmark(tmp_path / "x", per_class=0)
+
+    # The disk fills up partway through the first WAV: neither the WAV nor
+    # its temp file may stay behind.
+    def open_full_disk(file, mode="r", *args, **kwargs):
+        if "b" in mode:
+            return _DiskFull(file, mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(util, "open", open_full_disk, raising=False)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        make_benchmark(tmp_path / "full", per_class=1, seed=0)
+    assert os.listdir(tmp_path / "full") == []
+
+
+# ---------------------------------------------------------------------------
+# bit-exact reference: the full-length, per-microphone renderer
+
+
+def _reference_blocked_matrix(walls, p, q):
+    if walls.size == 0:
+        return np.zeros((p.shape[0], 0), dtype=bool)
+    a = walls[:, 0, :][None, :, :]
+    b = walls[:, 1, :][None, :, :]
+    p = p[:, None, :]
+    q = q[:, None, :]
+    ab = b - a
+    pq = q - p
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    d1, d2 = cross(ab, p - a), cross(ab, q - a)
+    d3, d4 = cross(pq, a - p), cross(pq, b - p)
+    hit = (d1 * d2 <= 0) & (d3 * d4 <= 0)
+    collinear = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
+    if np.any(collinear):
+        overlap = np.all((np.minimum(p, q) <= np.maximum(a, b))
+                         & (np.minimum(a, b) <= np.maximum(p, q)), axis=-1)
+        hit = np.where(collinear, overlap, hit)
+    return hit
+
+
+def _reference_specular_valid(walls, wall_index, src, receiver):
+    a, b = walls[wall_index, 0], walls[wall_index, 1]
+    u = b - a
+    length = np.linalg.norm(u)
+    u = u / length
+    n = np.array([-u[1], u[0]])
+    d_src = (src - a) @ n
+    d_rec = float((receiver - a) @ n)
+    image = src - 2.0 * d_src[:, None] * n
+    denom = d_src + d_rec
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = np.where(denom != 0, d_src / denom, 0.0)
+    point = image + t_star[:, None] * (receiver - image)
+    xi = (point - a) @ u
+    others = walls[np.arange(walls.shape[0]) != wall_index]
+    leg1 = _reference_blocked_matrix(others, src, point).any(axis=1)
+    leg2 = _reference_blocked_matrix(
+        others, point, np.broadcast_to(receiver, src.shape)).any(axis=1)
+    return ((d_src * d_rec) > 0) & (xi >= 0.0) & (xi <= length) & ~leg1 & ~leg2
+
+
+def _reference_mirror(points, a, b):
+    u = (b - a) / np.linalg.norm(b - a)
+    n = np.array([-u[1], u[0]])
+    return points - 2.0 * ((points - a) @ n)[:, None] * n
+
+
+def _reference_render(scenario, geometry, fs=48000):
+    """Every path over the whole scene, one microphone at a time."""
+    stride = 64
+    n = int(round(scenario.duration * fs))
+    mics = synth._mic_world_positions(geometry, scenario.pose)
+    center = np.asarray(scenario.pose.position, dtype=np.float64)
+    walls, c, m = scenario.walls, geometry.speed_of_sound, geometry.n_mics
+    mixed = np.zeros((m, n))
+    t0 = None
+    if scenario.path is not None:
+        src = scenario.path.position(np.arange(n) / fs)
+        coarse = src[::stride]
+        ok = ~_reference_blocked_matrix(
+            walls, coarse, np.broadcast_to(center, coarse.shape)).any(axis=1)
+        if np.any(ok):
+            i_c = int(np.argmax(ok)) * stride
+            lo = max(0, i_c - stride)
+            seg = src[lo:i_c + 1]
+            exact = ~_reference_blocked_matrix(
+                walls, seg, np.broadcast_to(center, seg.shape)).any(axis=1)
+            t0 = float(lo + np.argmax(exact)) / fs
+        probe_t = np.unique(np.concatenate([[0.0, scenario.duration], scenario.path.times]))
+        probe = scenario.path.position(np.clip(probe_t, 0.0, scenario.duration))
+        candidates = [probe] + [_reference_mirror(probe, w[0], w[1]) for w in walls]
+        max_dist = max(float(np.hypot(*(pts - mic).T).max())
+                       for pts in candidates for mic in mics)
+        lead = int(np.ceil(max_dist / c * fs)) + 8
+        sig = synth._source_signal(scenario.signal, lead + n + 2, fs,
+                                   derive_seed(scenario.seed, "source"))
+        images = [_reference_mirror(src, w[0], w[1]) for w in walls]
+        for mi, mic in enumerate(mics):
+            masks = [~_reference_blocked_matrix(
+                walls, coarse, np.broadcast_to(mic, coarse.shape)).any(axis=1)]
+            masks += [_reference_specular_valid(walls, w, coarse, mic)
+                      for w in range(len(walls))]
+            for mask, pts in zip(masks, [src] + images):
+                if np.any(mask):
+                    dist = np.hypot(*(pts - mic).T)
+                    amp = np.repeat(mask, stride)[:n] / np.maximum(dist, 0.5)
+                    lerp_mix(mixed[mi], sig, dist * (fs / c), amp, lead)
+    rng = np.random.default_rng(derive_seed(scenario.seed, "noise"))
+    rms = float(np.sqrt(np.mean(mixed**2)))
+    std = rms * 10.0 ** (-scenario.snr_db / 20.0) if rms > 0 else scenario.noise_floor
+    mixed = mixed + rng.standard_normal((m, n)) * std
+    peak = float(np.max(np.abs(mixed)))
+    if peak > 0.95:
+        mixed *= 0.95 / peak
+    return mixed, t0
+
+
+def _zigzag_scene(seed):
+    """Slanted walls and a source weaving in and out of view and of every mirror."""
+    rng = np.random.default_rng(seed)
+    walls = np.array([[[-4.0, -20.0], [-3.5, 9.0]], [[4.2, -20.0], [3.3, 8.5]],
+                      [[-40.0, 16.0], [40.0, 17.3]], [[6.0, 10.0], [9.0, 12.5]]])
+    times = np.linspace(0.0, 1.2, 7)
+    points = np.column_stack([rng.uniform(-25.0, 25.0, 7), rng.uniform(9.0, 15.0, 7)])
+    return Scenario(label="right", duration=1.2, seed=seed, walls=walls,
+                    path=SourcePath(times, points), signal=SignalSpec(tone_fundamental=100.0),
+                    pose=ArrayPose((0.3, -0.2), heading_deg=12.0))
+
+
+def test_blocked_matrix_matches_reference_on_touching_and_collinear_segments():
+    rng = np.random.default_rng(5)
+    # small integer grids make endpoints touch and segments run collinear
+    walls = rng.integers(-3, 4, size=(6, 2, 2)).astype(np.float64)
+    p = rng.integers(-3, 4, size=(4000, 2)).astype(np.float64)
+    q = rng.integers(-3, 4, size=(4000, 2)).astype(np.float64)
+    got = synth._blocked_matrix(walls, p, q)
+    assert np.array_equal(got, _reference_blocked_matrix(walls, p, q))
+    assert got.any() and not got.all()
+    walls, p, q = rng.normal(size=(5, 2, 2)), rng.normal(size=(4000, 2)), rng.normal(size=(4000, 2))
+    assert np.array_equal(synth._blocked_matrix(walls, p, q),
+                          _reference_blocked_matrix(walls, p, q))
+
+
+@pytest.mark.parametrize("case", ["A-left", "B-right", "A-none", "zigzag"])
+@pytest.mark.parametrize("n_mics", [4, 8])
+def test_render_matches_full_length_reference_bit_for_bit(case, n_mics):
+    """Mixing only the valid stretches, for all mics at once, changes no bit."""
+    if case == "zigzag":
+        scenario = _zigzag_scene(n_mics)
+    else:
+        env, label = case.split("-")
+        scenario = t_junction_scenario(label, env_type=env, seed=n_mics, t0_target=1.0,
+                                       post_roll=0.6, duration=0.9, speed_kmh=40.0)
+    geom = random_planar_array(n_mics, seed=3)
+    rec = render(scenario, geom)
+    samples, t0 = _reference_render(scenario, geom)
+    assert rec.t0 == t0
+    assert np.array_equal(rec.clip.samples, samples)
+    if case == "zigzag":
+        # the direct path and some mirror open and close more than once
+        coarse = scenario.path.position(np.arange(0, rec.clip.n_samples, 64) / 48000)
+        valid = synth._path_validity(scenario.walls, coarse,
+                                     synth._mic_world_positions(geom, scenario.pose))
+        opens = np.diff(valid.astype(np.int8), axis=-1).clip(0).sum(axis=-1)
+        assert opens[:, 0].max() >= 2 and opens[:, 1:].max() >= 2
 
 
 def test_benchmark_side_samples_score_off_side(bench_flat):
