@@ -1,9 +1,10 @@
 """Multichannel audio containers, WAV file I/O and the analysis window.
 
 WAV support is deliberately narrow: RIFF/WAVE with uncompressed 16 or 24 bit
-PCM or 32 bit IEEE float payloads, which covers every file this package reads
-or writes.  Integer samples are scaled by 2**(bits-1) so a full-scale negative
-sample maps to exactly -1.0.
+PCM or 32 bit IEEE float payloads, tagged plainly or as WAVE_FORMAT_EXTENSIBLE
+with the PCM or IEEE float sub-format, which covers every file this package
+writes and what multichannel recorders write.  Integer samples are scaled by
+2**(bits-1) so a full-scale negative sample maps to exactly -1.0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class EmptyStreamError(WavError):
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+# An extensible fmt chunk names its encoding by a sub-format GUID
+# {0000XXXX-0000-0010-8000-00aa00389b71}; on disk the format code XXXX is the
+# first two bytes, little-endian, and these are the other fourteen.
+_SUBTYPE_TAIL = bytes.fromhex("0000" "0000" "1000" "800000aa00389b71")
 # A 4-byte item whose one field is its first three bytes: viewing <i4 samples
 # through it selects the little-endian 24-bit payload in a single copy.
 _LOW3 = np.dtype({"names": ["low3"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
@@ -73,16 +79,20 @@ class AudioClip:
         idx = list(indices)
         if len(idx) == 0:
             raise ValueError("channel subset must not be empty")
-        return AudioClip(self.samples[idx].copy(), self.sample_rate)
+        return AudioClip(self.samples[idx], self.sample_rate)
 
     def trailing(self, seconds: float) -> "AudioClip":
-        """The last ``seconds`` of the clip."""
+        """The last ``seconds`` of the clip, as a view of this clip's samples.
+
+        Nothing is copied, so writing to the window's samples writes to this
+        clip; analysis only reads them.
+        """
         n = int(round(seconds * self.sample_rate))
         if n < 1 or n > self.n_samples:
             raise ValueError(
                 f"cannot take trailing {seconds} s from a {self.duration:.3f} s clip"
             )
-        return AudioClip(self.samples[:, self.n_samples - n :].copy(), self.sample_rate)
+        return AudioClip(self.samples[:, self.n_samples - n :], self.sample_rate)
 
 
 @dataclass
@@ -160,13 +170,26 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _read_payload(fh, n):
+    """The next n bytes of fh in a uint8 array with one zero pad byte after them."""
+    buf = np.zeros(n + 1, dtype=np.uint8)
+    if fh.readinto(buf[:n]) != n:
+        raise WavFormatError("truncated file while reading data chunk")
+    return buf
+
+
 def load_wav(path) -> AudioClip:
     """Read a PCM16, PCM24 or float32 WAV file into an AudioClip.
 
-    Integer PCM is normalized by 2**(bits-1); float payloads are taken as-is.
-    Raises WavFormatError for malformed containers, UnsupportedEncodingError
-    for encodings outside the supported set and EmptyStreamError when the data
-    chunk holds no samples.  Unreadable paths raise the usual OSError.
+    The encoding is given by the fmt chunk's format tag, or, for
+    WAVE_FORMAT_EXTENSIBLE (0xFFFE, with a fmt chunk of at least 40 bytes), by
+    its PCM or IEEE float sub-format GUID.  Integer PCM is normalized by
+    2**(bits-1); float payloads are taken as-is.  The samples are decoded in
+    one pass into a C-ordered (channels, frames) float64 array; a partial
+    trailing frame is dropped.  Raises WavFormatError for malformed
+    containers, UnsupportedEncodingError for encodings outside the supported
+    set and EmptyStreamError when the data chunk holds no whole frame.
+    Unreadable paths raise the usual OSError.
     """
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -183,7 +206,7 @@ def load_wav(path) -> AudioClip:
             if chunk_id == b"fmt ":
                 fmt = _read_exact(fh, size, "fmt chunk")
             elif chunk_id == b"data":
-                data = _read_exact(fh, size, "data chunk")
+                data = _read_payload(fh, size)
             else:
                 fh.seek(size, 1)
             if size % 2:
@@ -201,29 +224,47 @@ def load_wav(path) -> AudioClip:
     )
     if n_channels < 1 or sample_rate < 1:
         raise WavFormatError(f"{path}: nonsense fmt chunk")
+    if audio_format == _EXTENSIBLE:
+        if len(fmt) < 40:
+            raise WavFormatError(f"{path}: extensible fmt chunk is shorter than 40 bytes")
+        sub_format = fmt[24:40]
+        if sub_format[2:] != _SUBTYPE_TAIL:
+            raise UnsupportedEncodingError(
+                f"{path}: extensible sub-format {sub_format.hex()} is not supported"
+            )
+        audio_format = struct.unpack("<H", sub_format[:2])[0]
 
     if audio_format == _PCM and bits == 16:
-        raw = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2")
-        values = raw.astype(np.float64) / 32768.0
+        dtype, width = "<i2", 2
     elif audio_format == _PCM and bits == 24:
-        usable = len(data) - len(data) % 3
-        raw = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3)
-        padded = np.zeros((raw.shape[0], 4), dtype=np.uint8)
-        padded[:, 1:] = raw
-        values = (padded.view("<i4").ravel() >> 8).astype(np.float64) / 8388608.0
+        dtype, width = "<u4", 3
     elif audio_format == _IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
-        values = raw.astype(np.float64)
+        dtype, width = "<f4", 4
     else:
         raise UnsupportedEncodingError(
             f"{path}: format tag {audio_format} at {bits} bits is not supported"
         )
 
-    n_frames = values.size // n_channels
+    n_frames = (data.size - 1) // (width * n_channels)
     if n_frames == 0:
         raise EmptyStreamError(f"{path}: data chunk holds no samples")
-    frames = values[: n_frames * n_channels].reshape(n_frames, n_channels)
-    return AudioClip(frames.T.copy(), sample_rate)
+    # The interleaved payload seen as (channels, frames).  A pcm24 item is the
+    # four bytes from the start of its sample: the sample's three, then one
+    # that belongs to the next sample (or the pad byte) and is shifted out;
+    # the shift is unsigned, and reading the result as <i4 makes the sample's
+    # top bit the sign, so the item is the sample times 2**8.  Each ufunc writes a fresh C-ordered array; left to itself it would
+    # follow the strided input into F order, and every window read after
+    # would be strided.
+    frames = np.ndarray(
+        (n_channels, n_frames), dtype, buffer=data, strides=(width, width * n_channels)
+    )
+    if bits == 24:
+        samples = np.multiply(np.left_shift(frames, 8, order="C").view("<i4"), 2.0**-31)
+    elif bits == 16:
+        samples = np.multiply(frames, 2.0**-15, order="C")
+    else:
+        samples = frames.astype(np.float64, order="C")
+    return AudioClip(samples, sample_rate)
 
 
 def write_wav(clip: AudioClip, path, encoding: str = "pcm24") -> None:

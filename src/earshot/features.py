@@ -128,7 +128,11 @@ class LabeledSample:
 
 
 def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineConfig) -> DoaFeature:
-    """Compute the stacked DoA feature from the trailing window of a clip."""
+    """Compute the stacked DoA feature from the trailing window of a clip.
+
+    The window is a view of the clip's samples (``AudioClip.trailing``); it
+    is only read, and the STFT makes the one copy the analysis needs.
+    """
     window = clip.trailing(config.sample_len)
     if config.sample_len * clip.sample_rate / config.segments < config.frame_len:
         raise ValueError(

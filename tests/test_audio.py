@@ -1,9 +1,14 @@
 """WAV container round trips, window closed forms, clip and geometry types."""
 
 import struct
+import tempfile
+import uuid
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from earshot.audio import (
     ArrayGeometry,
@@ -18,12 +23,29 @@ from earshot.audio import (
     save_geometry,
     write_wav,
 )
+from earshot.cli import main
+from earshot.synth import random_planar_array
+from synthref import render_plane_wave
+
+EXTENSIBLE = 0xFFFE
+ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}
 
 
-def build_wav(fmt_tag, channels, rate, bits, payload, junk_before=False):
-    """Assemble raw RIFF bytes for the reader tests."""
+def sub_format(code, tail="-0000-0010-8000-00aa00389b71"):
+    """On-disk bytes of a WAVE_FORMAT_EXTENSIBLE sub-format GUID."""
+    return uuid.UUID(f"{code:08x}{tail}").bytes_le
+
+
+def build_wav(fmt_tag, channels, rate, bits, payload, junk_before=False, guid=None):
+    """Assemble raw RIFF bytes for the reader tests.
+
+    With a guid the fmt chunk is the 40-byte WAVE_FORMAT_EXTENSIBLE form and
+    fmt_tag should be 0xFFFE.
+    """
     fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate,
                       rate * channels * bits // 8, channels * bits // 8, bits)
+    if guid is not None:
+        fmt += struct.pack("<HHI", 22, bits, (1 << channels) - 1) + guid
     body = b""
     if junk_before:
         body += struct.pack("<4sI", b"LIST", 5) + b"abcde\x00"  # odd size, padded
@@ -39,6 +61,172 @@ def pcm24_bytes(ints):
     for v in ints:
         out += int(v & 0xFFFFFF).to_bytes(3, "little")
     return bytes(out)
+
+
+def reference_decode(payload, fmt_tag, channels, bits):
+    """The padded-uint8 decoder load_wav used before its one-pass decode.
+
+    Returns the (channels, frames) samples, or None when no whole frame fits.
+    """
+    if fmt_tag == 1 and bits == 16:
+        raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
+        values = raw.astype(np.float64) / 32768.0
+    elif fmt_tag == 1 and bits == 24:
+        usable = len(payload) - len(payload) % 3
+        raw = np.frombuffer(payload[:usable], dtype=np.uint8).reshape(-1, 3)
+        padded = np.zeros((raw.shape[0], 4), dtype=np.uint8)
+        padded[:, 1:] = raw
+        values = (padded.view("<i4").ravel() >> 8).astype(np.float64) / 8388608.0
+    else:
+        raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
+        values = raw.astype(np.float64)
+    n_frames = values.size // channels
+    if n_frames == 0:
+        return None
+    return values[: n_frames * channels].reshape(n_frames, channels).T.copy()
+
+
+def assert_same_samples(got, want):
+    """Bit for bit, as a C-ordered float64 array (a strided result fails)."""
+    assert got.dtype == np.float64
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def payload_for(encoding, channels, frames, rng):
+    """Interleaved samples with both full-scale codes in the first frames."""
+    if encoding == "float32":
+        values = rng.uniform(-1.0, 1.0, size=channels * frames)
+        values[:3] = [1.0, -1.0, -0.0]
+        return values.astype("<f4").tobytes()
+    top = 0x7FFF if encoding == "pcm16" else 0x7FFFFF
+    codes = rng.integers(-top - 1, top + 1, size=channels * frames)
+    codes[:2] = [top, -top - 1]
+    if encoding == "pcm16":
+        return codes.astype("<i2").tobytes()
+    return pcm24_bytes(codes)
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("channels", [1, 2, 8, 9])
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_load_wav_matches_reference_decoder(tmp_path, encoding, channels, ragged):
+    """The one-pass decode equals the old one; a ragged chunk ends in a partial
+    frame (channels - 1 whole samples) and a stray partial sample."""
+    fmt_tag, bits = ENCODINGS[encoding]
+    width = bits // 8
+    payload = payload_for(encoding, channels, 37, np.random.default_rng(channels))
+    if ragged:
+        payload += bytes(range(1, (channels - 1) * width + width))
+    path = tmp_path / "x.wav"
+    path.write_bytes(build_wav(fmt_tag, channels, 48000, bits, payload))
+    clip = load_wav(path)
+    want = reference_decode(payload, fmt_tag, channels, bits)
+    assert clip.n_samples == 37
+    assert np.array_equal(clip.samples, want)
+    assert_same_samples(clip.samples, want)
+    if encoding != "float32":
+        assert clip.samples.max() == 1.0 - 2.0 ** (1 - bits)
+        assert clip.samples.min() == -1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    encoding=st.sampled_from(sorted(ENCODINGS)),
+    channels=st.integers(1, 9),
+    payload=st.binary(max_size=400),
+    extensible=st.booleans(),
+)
+def test_load_wav_matches_reference_on_arbitrary_payloads(encoding, channels, payload,
+                                                          extensible):
+    fmt_tag, bits = ENCODINGS[encoding]
+    if extensible:
+        raw = build_wav(EXTENSIBLE, channels, 8000, bits, payload, guid=sub_format(fmt_tag))
+    else:
+        raw = build_wav(fmt_tag, channels, 8000, bits, payload)
+    want = reference_decode(payload, fmt_tag, channels, bits)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.wav"
+        path.write_bytes(raw)
+        if want is None:
+            with pytest.raises(EmptyStreamError):
+                load_wav(path)
+        else:
+            assert_same_samples(load_wav(path).samples, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), channels=st.integers(1, 9), frames=st.integers(1, 80))
+def test_write_load_round_trips(data, channels, frames):
+    """float32 is bit-exact; pcm24 is within half a step, 2**-24.  Full scale
+    +1.0 clips to 1 - 2**-23 and is covered by the packing edge test."""
+    shape = (channels, frames)
+    exact = data.draw(arrays(np.float32, shape, elements=st.floats(-1.0, 1.0, width=32)))
+    quantized = data.draw(arrays(np.float64, shape,
+                                 elements=st.floats(-1.0, 1.0 - 2.0**-24)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.wav"
+        write_wav(AudioClip(exact.astype(np.float64), 48000), path, encoding="float32")
+        back = load_wav(path)
+        assert back.samples.flags.c_contiguous
+        assert np.array_equal(back.samples, exact.astype(np.float64))
+        write_wav(AudioClip(quantized, 48000), path, encoding="pcm24")
+        back = load_wav(path)
+        assert back.samples.shape == shape
+        assert np.max(np.abs(back.samples - quantized)) <= 2.0**-24
+
+
+@pytest.mark.parametrize("encoding", ["pcm24", "float32"])
+def test_extensible_file_loads_like_its_plain_twin(tmp_path, encoding):
+    rng = np.random.default_rng(8)
+    clip = AudioClip(rng.uniform(-0.9, 0.9, size=(8, 301)), 48000)
+    plain = tmp_path / "plain.wav"
+    write_wav(clip, plain, encoding=encoding)
+    fmt_tag, bits = ENCODINGS[encoding]
+    payload = plain.read_bytes()[44:44 + 8 * 301 * bits // 8]
+    extensible = tmp_path / "ext.wav"
+    extensible.write_bytes(build_wav(EXTENSIBLE, 8, 48000, bits, payload,
+                                     guid=sub_format(fmt_tag)))
+    want = load_wav(plain)
+    got = load_wav(extensible)
+    assert got.sample_rate == 48000
+    assert_same_samples(got.samples, want.samples)
+
+
+def test_extensible_rejects_unknown_sub_formats(tmp_path):
+    payload = pcm24_bytes([1, 2, 3, 4])
+    path = tmp_path / "x.wav"
+    odd_tail = "-0000-0010-8000-00aa00389b72"
+    for guid in (sub_format(2), sub_format(0x10001), sub_format(1, odd_tail), bytes(16)):
+        path.write_bytes(build_wav(EXTENSIBLE, 2, 8000, 24, payload, guid=guid))
+        with pytest.raises(UnsupportedEncodingError):
+            load_wav(path)
+    # a fmt chunk too short to hold the sub-format is malformed, not unsupported
+    path.write_bytes(build_wav(EXTENSIBLE, 2, 8000, 24, payload))
+    with pytest.raises(WavFormatError):
+        load_wav(path)
+
+
+def test_doa_reads_extensible_pcm24(tmp_path, capsys):
+    """`earshot doa` on an 8-channel extensible pcm24 file exits 0 and maps it
+    exactly as it maps the plain pcm24 twin."""
+    geom = random_planar_array(8, seed=2)
+    samples = render_plane_wave(geom, 30.0, duration=1.2, fs=48000, seed=4)
+    plain = tmp_path / "plain.wav"
+    write_wav(AudioClip(0.5 * samples / np.max(np.abs(samples)), 48000), plain)
+    extensible = tmp_path / "ext.wav"
+    payload = plain.read_bytes()[44:]
+    extensible.write_bytes(build_wav(EXTENSIBLE, 8, 48000, 24, payload, guid=sub_format(1)))
+    gj = tmp_path / "geom.json"
+    save_geometry(geom, gj)
+    maps = []
+    for wav in (plain, extensible):
+        out = tmp_path / f"{wav.stem}.csv"
+        assert main(["doa", str(wav), str(gj), "--out", str(out)]) == 0
+        maps.append(out.read_text())
+    assert maps[0] == maps[1]
+    capsys.readouterr()
 
 
 def test_load_pcm24_known_bytes(tmp_path):
@@ -201,6 +389,7 @@ def test_clip_trailing_and_subset():
     clip = AudioClip(samples, 2)
     tail = clip.trailing(1.0)
     assert np.array_equal(tail.samples, samples[:, 2:])
+    assert np.shares_memory(tail.samples, clip.samples)  # a view, not a copy
     assert clip.duration == 2.0
     sub = clip.channel_subset([2, 0])
     assert np.array_equal(sub.samples, samples[[2, 0]])

@@ -222,3 +222,19 @@ def test_window_too_short_for_segments():
     cfg = PipelineConfig(segments=24)
     with pytest.raises(ValueError):
         extract_feature(wave_clip(0.0), GEOM, cfg)
+
+
+def test_features_of_a_window_view_match_a_contiguous_copy():
+    """Windows are views of the recording: strided rows give the same feature
+    bytes as a contiguous copy, and analysis leaves the recording unchanged."""
+    cfg = PipelineConfig()
+    recording = wave_clip(20.0, seed=6, duration=2.5)
+    before = recording.samples.copy()
+    fs = recording.sample_rate
+    middle = AudioClip(recording.samples[:, fs // 2 : fs // 2 + fs], fs)
+    assert np.shares_memory(middle.samples, recording.samples)
+    for window in (middle, recording):
+        copy = AudioClip(window.samples[:, -fs:].copy(), fs)
+        got = extract_feature(window, GEOM, cfg).matrix
+        assert np.array_equal(got, extract_feature(copy, GEOM, cfg).matrix)
+    assert np.array_equal(recording.samples, before)
