@@ -37,27 +37,24 @@ def lerp_mix(out, sig, delay, amp, lead):
 
     out[n] += amp[n] * sig(lead + n - delay[n]) with linear interpolation
     between samples.  ``lead`` is the number of warm-up samples prepended to
-    ``sig`` so that early output samples can look back before t = 0.  Samples
-    with amp[n] == 0, or whose read position falls outside ``sig``, contribute
-    nothing.
+    ``sig`` so that early output samples can look back before t = 0.  ``amp``
+    applies to every sample (where it is zero the sample adds 0 * x, which
+    leaves ``out`` unchanged); samples whose read position falls outside
+    ``sig`` add nothing.
     """
-    # Runs of non-zero amp as (start, stop) rows.
-    runs = np.flatnonzero(np.diff(amp != 0.0, prepend=False, append=False)).reshape(-1, 2)
-    for a, b in runs:
-        pos = np.arange(lead + a, lead + b, dtype=np.float64)
-        pos -= delay[a:b]
-        lo = np.floor(pos)
-        idx = lo.astype(np.int64)
-        frac = np.subtract(pos, lo, out=pos)
-        gain = amp[a:b]
-        ok = slice(None)  # only a run whose reads leave sig pays for a mask
-        if idx.min() < 0 or idx.max() + 1 >= sig.shape[0]:
-            ok = (idx >= 0) & (idx + 1 < sig.shape[0])
-            idx, frac, gain = idx[ok], frac[ok], gain[ok]
-        left = sig[idx]
-        mix = sig[1:][idx]
-        mix -= left
-        mix *= frac
-        mix += left
-        mix *= gain
-        out[a:b][ok] += mix
+    pos = np.arange(lead, lead + out.shape[0], dtype=np.float64)
+    pos -= delay
+    lo = np.floor(pos)
+    idx = lo.astype(np.int64)
+    frac = np.subtract(pos, lo, out=pos)
+    ok = slice(None)  # only a call whose reads leave sig pays for a mask
+    if idx.size and (idx.min() < 0 or idx.max() + 1 >= sig.shape[0]):
+        ok = (idx >= 0) & (idx + 1 < sig.shape[0])
+        idx, frac, amp = idx[ok], frac[ok], amp[ok]
+    left = sig[idx]
+    mix = sig[1:][idx]
+    mix -= left
+    mix *= frac
+    mix += left
+    mix *= amp
+    out[ok] += mix

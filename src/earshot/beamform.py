@@ -74,16 +74,16 @@ def steering_delays(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
     return -(geometry.positions @ u) / geometry.speed_of_sound
 
 
-def gcc_phat_cross(stack: StftStack, i, j, eps: float = PHAT_EPSILON) -> np.ndarray:
+def gcc_phat_cross(stack: StftStack, i, j) -> np.ndarray:
     """Phase-transform cross-spectrum of channels i and j, shaped (frames, bins).
 
-    Each time-frequency cell is X_i * conj(X_j) divided by max(|.|, eps), so
+    Each time-frequency cell is X_i * conj(X_j) divided by max(|.|, 1e-12), so
     cells carry phase only and an all-zero frame stays exactly zero.  With
     equal-length index arrays for i and j the result stacks one cross-spectrum
     per pair, shaped (pairs, frames, bins).
     """
     cross = stack.data[i] * np.conj(stack.data[j])
-    return cross / np.maximum(np.abs(cross), eps)
+    return cross / np.maximum(np.abs(cross), PHAT_EPSILON)
 
 
 def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None = None) -> DoaResponse:

@@ -23,17 +23,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamform import DoaResponse, argmax_doa
-from .features import LABELS, DoaFeature
+from .features import LABELS, DoaFeature, PipelineConfig
 from .util import canonical_json, config_hash, write_text
 
 CLASS_ORDER = LABELS  # (left, front, right, none)
 
 MODEL_FORMAT = "earshot-svm"
 MODEL_VERSION = 1
+_MODEL_KEYS = ("class_order", "weights", "biases", "scaler_mean", "scaler_std", "calib_a",
+               "calib_b", "lambda", "seed", "feature_dim", "config", "config_hash")
 
 
 class ModelFormatError(ValueError):
-    """Model file magic or version does not match this code."""
+    """A model file that this code cannot trust: wrong magic or version, or
+    contents that fail the checks in ``load_model``."""
 
 
 @dataclass
@@ -83,8 +86,8 @@ def _standardize_fit(x: np.ndarray):
     return mean, std
 
 
-def _fit_linear_svm(x: np.ndarray, y: np.ndarray, lam: float, iters: int):
-    """Full-batch subgradient descent on mean hinge + lam * ||w||^2.
+def _fit_linear_svm(x: np.ndarray, y: np.ndarray, lam: float):
+    """Full-batch subgradient descent on mean hinge + lam * ||w||^2, 400 steps.
 
     Returns the best iterate and the best-so-far objective trace, which is
     non-increasing by construction.
@@ -103,7 +106,7 @@ def _fit_linear_svm(x: np.ndarray, y: np.ndarray, lam: float, iters: int):
     best_obj = objective(w, b)
     best_w, best_b = w.copy(), b
     trace = [best_obj]
-    for t in range(1, iters + 1):
+    for t in range(1, 401):
         margins = y * (x @ w + b)
         active = margins < 1.0
         grad_w = lam2 * w - (y[active] @ x[active]) / n
@@ -122,8 +125,9 @@ def _fit_linear_svm(x: np.ndarray, y: np.ndarray, lam: float, iters: int):
     return best_w, best_b, trace
 
 
-def _fit_platt(scores: np.ndarray, positive: np.ndarray, max_iter: int = 100):
-    """Platt's sigmoid fit: p = 1 / (1 + exp(a * s + b)), Newton with backtracking."""
+def _fit_platt(scores: np.ndarray, positive: np.ndarray):
+    """Platt's sigmoid fit: p = 1 / (1 + exp(a * s + b)), at most 100 Newton
+    steps with backtracking."""
     n1 = int(positive.sum())
     n0 = len(positive) - n1
     hi = (n1 + 1.0) / (n1 + 2.0)
@@ -138,7 +142,7 @@ def _fit_platt(scores: np.ndarray, positive: np.ndarray, max_iter: int = 100):
         return float(np.sum(target * z + softplus - z))
 
     err = nll(a, b)
-    for _ in range(max_iter):
+    for _ in range(100):
         z = a * scores + b
         p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
         d1 = target - p
@@ -167,8 +171,7 @@ def _fit_platt(scores: np.ndarray, positive: np.ndarray, max_iter: int = 100):
     return a, b
 
 
-def train(samples, lam: float = 1.0, seed: int = 0, iters: int = 400,
-          standardize: bool = True) -> SvmModel:
+def train(samples, lam: float = 1.0, seed: int = 0) -> SvmModel:
     """Fit the one-vs-rest machines and their calibration on labeled samples.
 
     The seed is recorded in the model for provenance; the solver itself is
@@ -187,11 +190,7 @@ def train(samples, lam: float = 1.0, seed: int = 0, iters: int = 400,
         raise ValueError(f"inconsistent feature dimensions in training data: {sorted(dims)}")
 
     x = np.stack([s.feature.flat for s in samples])
-    if standardize:
-        mean, std = _standardize_fit(x)
-    else:
-        mean = np.zeros(x.shape[1])
-        std = np.ones(x.shape[1])
+    mean, std = _standardize_fit(x)
     z = (x - mean) / std
 
     n_classes = len(CLASS_ORDER)
@@ -202,7 +201,7 @@ def train(samples, lam: float = 1.0, seed: int = 0, iters: int = 400,
     history = []
     for c, label in enumerate(CLASS_ORDER):
         y = np.where(np.array([s.label for s in samples]) == label, 1.0, -1.0)
-        w, b, trace = _fit_linear_svm(z, y, lam, iters)
+        w, b, trace = _fit_linear_svm(z, y, lam)
         weights[c] = w
         biases[c] = b
         history.append(trace)
@@ -269,8 +268,20 @@ def save_model(model: SvmModel, path, extra: dict | None = None) -> None:
 
 
 def load_model(path) -> SvmModel:
+    """Read a model file and check it before use.
+
+    Raises ModelFormatError for text that is not JSON, a foreign format or
+    version, a missing key, a class order other than CLASS_ORDER, a config
+    that does not parse or does not match its ``config_hash``, an array of
+    the wrong shape ((classes, feature_dim) weights, (classes,) biases and
+    calibration, (feature_dim,) scaler), a non-finite value, or a
+    scaler_std <= 0.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelFormatError(f"{path}: not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError(f"{path}: not an {MODEL_FORMAT} model file")
     if payload.get("version") != MODEL_VERSION:
@@ -278,16 +289,36 @@ def load_model(path) -> SvmModel:
             f"{path}: model version {payload.get('version')} unsupported "
             f"(this build reads version {MODEL_VERSION})"
         )
-    return SvmModel(
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        biases=np.asarray(payload["biases"], dtype=np.float64),
-        scaler_mean=np.asarray(payload["scaler_mean"], dtype=np.float64),
-        scaler_std=np.asarray(payload["scaler_std"], dtype=np.float64),
-        calib_a=np.asarray(payload["calib_a"], dtype=np.float64),
-        calib_b=np.asarray(payload["calib_b"], dtype=np.float64),
-        lam=float(payload["lambda"]),
-        seed=int(payload["seed"]),
-        feature_dim=int(payload["feature_dim"]),
-        config=payload["config"],
-        class_order=tuple(payload["class_order"]),
-    )
+    missing = [k for k in _MODEL_KEYS if k not in payload]
+    if missing:
+        raise ModelFormatError(f"{path}: missing keys: {', '.join(missing)}")
+    if payload["class_order"] != list(CLASS_ORDER):
+        raise ModelFormatError(
+            f"{path}: class order {payload['class_order']} is not {list(CLASS_ORDER)}"
+        )
+    try:
+        config = PipelineConfig.from_dict(payload["config"])
+        lam, seed = float(payload["lambda"]), int(payload["seed"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+    if config.hash != payload["config_hash"]:
+        raise ModelFormatError(f"{path}: config_hash does not match the stored config")
+    dim, n = config.feature_dim, len(CLASS_ORDER)
+    if payload["feature_dim"] != dim:
+        raise ModelFormatError(f"{path}: feature_dim must be {dim} for the stored config")
+    shapes = {"weights": (n, dim), "biases": (n,), "scaler_mean": (dim,),
+              "scaler_std": (dim,), "calib_a": (n,), "calib_b": (n,)}
+    arrays = {}
+    for key, shape in shapes.items():
+        try:
+            value = np.asarray(payload[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or value.shape != shape:
+            raise ModelFormatError(f"{path}: {key} must be a numeric array of shape {shape}")
+        if not np.all(np.isfinite(value)):
+            raise ModelFormatError(f"{path}: {key} holds non-finite values")
+        arrays[key] = value
+    if np.any(arrays["scaler_std"] <= 0):
+        raise ModelFormatError(f"{path}: scaler_std must be positive")
+    return SvmModel(**arrays, lam=lam, seed=seed, feature_dim=dim, config=payload["config"])

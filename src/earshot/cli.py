@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from ._backend import BACKEND
@@ -33,11 +34,10 @@ from .evaluate import (
 from .features import (
     PipelineConfig,
     augment_training_set,
+    extract_feature,
     load_features,
     save_features,
 )
-from .beamform import srp_phat
-from .stft import band_select, stft
 from .synth import make_benchmark
 from .util import canonical_json, config_hash, write_text
 
@@ -145,12 +145,11 @@ def cmd_doa(args, run: dict) -> int:
     cfg = _pipeline(run)
     clip = load_wav(args.wav)
     geometry = load_geometry(args.geometry)
-    window = clip.trailing(cfg.sample_len)
-    stack = band_select(stft(window, cfg.frame_len, cfg.hop), cfg.f_min, cfg.f_max)
-    response = srp_phat(stack, geometry, cfg.grid)
+    # One segment over the whole trailing window: the map of every frame.
+    energies = extract_feature(clip, geometry, replace(cfg, segments=1)).matrix[0]
     lines = [f"# {k}: {v}" for k, v in _provenance(run).items()]
     lines.append("azimuth_deg,energy")
-    for center, energy in zip(cfg.grid.bin_centers, response.energies):
+    for center, energy in zip(cfg.grid.bin_centers, energies):
         lines.append(f"{float(center)!r},{float(energy)!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

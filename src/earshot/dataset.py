@@ -72,13 +72,19 @@ class RecordingManifest:
 
 
 def save_manifest(manifest: RecordingManifest, path, preamble: dict | None = None) -> None:
+    """Write a manifest CSV under an optional ``# key: value`` preamble.
+
+    A row whose WAV name starts with "#" has every field quoted, so the
+    reader does not take it for a comment.
+    """
     buf = io.StringIO()
     for key, value in (preamble or {}).items():
         buf.write(f"# {key}: {value}\n")
     writer = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(_MANIFEST_COLS)
     for e in manifest:
-        writer.writerow(
+        (quoted if e.wav.startswith("#") else writer).writerow(
             [
                 e.wav,
                 e.geometry,
@@ -134,11 +140,10 @@ def extraction_times(entry: ManifestEntry, duration: float, none_probes=None):
     return [(entry.situation, float(anchor)), ("front", float(anchor) + FRONT_OFFSET)]
 
 
-def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: PipelineConfig,
-                              none_probes=None) -> list:
+def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: PipelineConfig) -> list:
     """Labeled samples from an already-loaded recording."""
     samples = []
-    for label, t_e in extraction_times(entry, clip.duration, none_probes):
+    for label, t_e in extraction_times(entry, clip.duration):
         end = int(round(t_e * clip.sample_rate))
         length = int(round(config.sample_len * clip.sample_rate))
         if end - length < 0 or end > clip.n_samples:
@@ -163,11 +168,11 @@ def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: Pipe
     return samples
 
 
-def extract_samples(entry: ManifestEntry, config: PipelineConfig, none_probes=None) -> list:
+def extract_samples(entry: ManifestEntry, config: PipelineConfig) -> list:
     """Load a manifest entry from disk and extract its labeled samples."""
     clip = load_wav(entry.wav)
     geometry = load_geometry(entry.geometry)
-    return extract_samples_from_clip(clip, geometry, entry, config, none_probes)
+    return extract_samples_from_clip(clip, geometry, entry, config)
 
 
 def stratified_folds(samples, k: int, seed: int = 0) -> list:

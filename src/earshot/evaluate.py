@@ -155,6 +155,21 @@ def evaluate_model(model, samples) -> ConfusionMatrix:
     return cm
 
 
+def _run_fold(train_set, test_set, lam: float, seed: int, augment: bool) -> FoldResult:
+    """Train on one side (mirrored first when augmenting) and score the other."""
+    if augment:
+        train_set = augment_training_set(train_set)
+    model = train(train_set, lam=lam, seed=seed)
+    cm = evaluate_model(model, test_set)
+    return FoldResult(
+        accuracy=accuracy(cm),
+        n_train=len(train_set),
+        n_test=len(test_set),
+        confusion=cm,
+        test_recordings=[s.meta.recording_id for s in test_set],
+    )
+
+
 def cross_validate(samples, k: int = 5, lam: float = 1.0, seed: int = 0,
                    augment: bool = True) -> MetricsReport:
     """Grouped stratified k-fold cross-validation, confusion pooled over folds."""
@@ -167,20 +182,9 @@ def cross_validate(samples, k: int = 5, lam: float = 1.0, seed: int = 0,
     fold_results = []
     for i, test_fold in enumerate(folds):
         train_set = [s for j, f in enumerate(folds) if j != i for s in f]
-        if augment:
-            train_set = augment_training_set(train_set)
-        model = train(train_set, lam=lam, seed=derive_seed(seed, f"train-fold{i}"))
-        cm = evaluate_model(model, test_fold)
-        pooled.merge(cm)
-        fold_results.append(
-            FoldResult(
-                accuracy=accuracy(cm),
-                n_train=len(train_set),
-                n_test=len(test_fold),
-                confusion=cm,
-                test_recordings=[s.meta.recording_id for s in test_fold],
-            )
-        )
+        fold = _run_fold(train_set, test_fold, lam, derive_seed(seed, f"train-fold{i}"), augment)
+        pooled.merge(fold.confusion)
+        fold_results.append(fold)
     return _report_from_confusion(pooled, fold_results)
 
 
@@ -194,29 +198,19 @@ def generalization_eval(train_samples, test_samples, lam: float = 1.0, seed: int
     shared = train_ids & test_ids
     if shared:
         raise ValueError(f"recordings appear on both sides: {sorted(shared)[:5]}")
-    if augment:
-        train_samples = augment_training_set(train_samples)
-    model = train(train_samples, lam=lam, seed=derive_seed(seed, "train-generalization"))
-    cm = evaluate_model(model, test_samples)
-    report = _report_from_confusion(cm)
-    report.folds = [
-        FoldResult(
-            accuracy=report.accuracy,
-            n_train=len(train_samples),
-            n_test=len(test_samples),
-            confusion=cm,
-            test_recordings=sorted(test_ids),
-        )
-    ]
-    return report
+    fold = _run_fold(train_samples, test_samples, lam,
+                     derive_seed(seed, "train-generalization"), augment)
+    return _report_from_confusion(fold.confusion, [fold])
 
 
-def feature_response(sample_or_feature, config: PipelineConfig | None = None) -> DoaResponse:
-    """Average the segment rows of a feature back into one DoA response."""
+def feature_response(sample_or_feature) -> DoaResponse:
+    """Average the segment rows of a feature back into one DoA response.
+
+    Takes a LabeledSample or a DoaFeature; the azimuth grid is the one in
+    the feature's own extraction config.
+    """
     feature = getattr(sample_or_feature, "feature", sample_or_feature)
-    if config is None:
-        config = feature.config
-    return DoaResponse(feature.matrix.mean(axis=0), config.grid)
+    return DoaResponse(feature.matrix.mean(axis=0), feature.config.grid)
 
 
 def doa_baseline_eval(samples, alpha_th: float = 50.0) -> MetricsReport:

@@ -80,7 +80,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(**{k: d[k] for k in cls().to_dict()})
+        """Inverse of ``to_dict``; a missing or unknown key is a ValueError."""
+        keys = set(cls().to_dict())
+        if not isinstance(d, dict) or set(d) != keys:
+            got = sorted(d) if isinstance(d, dict) else type(d).__name__
+            raise ValueError(f"config must hold exactly the keys {sorted(keys)}, got {got}")
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise ValueError(f"bad config value: {exc}") from None
 
     @property
     def hash(self) -> str:
@@ -183,63 +191,92 @@ def augment_training_set(samples) -> list:
     return out
 
 
+def _cache_columns(config: PipelineConfig) -> list:
+    return ["recording_id", "label", "env", "motion", "t_e"] + [
+        f"x_{i}" for i in range(config.feature_dim)
+    ]
+
+
 def save_features(samples, path, extra_header: dict | None = None) -> None:
     """Write samples to the feature cache CSV.
 
     Layout: comment preamble with the extraction config, then a header row
     recording_id,label,env,motion,t_e,x_0,...,x_{LB-1} and one row per sample.
-    Fields are CSV-quoted where needed, so recording ids may hold commas.
+    Fields are CSV-quoted where needed, so recording ids may hold commas or
+    line breaks; a row with a carriage return, which the minimal quoting
+    leaves bare, has every field quoted.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("refusing to write an empty feature cache")
     config = samples[0].feature.config
-    dim = config.feature_dim
     buf = io.StringIO()
     buf.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
     buf.write(f"# config_hash: {config.hash}\n")
     for key, value in (extra_header or {}).items():
         buf.write(f"# {key}: {value}\n")
-    cols = ["recording_id", "label", "env", "motion", "t_e"]
-    cols += [f"x_{i}" for i in range(dim)]
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(_cache_columns(config))
     for s in samples:
         if s.feature.config != config:
             raise ValueError("all samples in one cache must share a config")
         row = [s.meta.recording_id, s.label, s.meta.environment, s.meta.motion, repr(float(s.meta.t_e))]
         row += [repr(float(v)) for v in s.feature.flat]
-        writer.writerow(row)
+        (quoted if "\r" in "".join(row[:4]) else writer).writerow(row)
     write_text(path, buf.getvalue())
 
 
 def load_features(path) -> list:
-    """Read a feature cache CSV back into LabeledSamples."""
-    config = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                text = line[1:].strip()
-                if text.startswith("config:"):
-                    config = PipelineConfig.from_dict(json.loads(text[len("config:") :]))
-            elif line.strip():
-                rows.append(line)
-    reader = csv.reader(rows)
-    if next(reader, None) is None:
-        raise ValueError(f"{path}: no header row")
+    """Read a feature cache CSV back into LabeledSamples.
+
+    The cache checks itself: the ``# config:`` line must parse and match the
+    ``# config_hash:`` line, the header must name the config's columns, and
+    every row must hold one value per column.  A violation is a ValueError
+    that names the line at fault.  Comment lines are read only before the
+    header, so a recording id may start with ``#``.
+    """
+    with open(path, newline="") as fh:
+        body = fh.read()
+    preamble, lineno = {}, 0
+    while body.startswith("#"):
+        line, _, body = body.partition("\n")
+        lineno += 1
+        key, _, value = line[1:].partition(":")
+        preamble[key.strip()] = (lineno, value.strip())
+    if "config" not in preamble or "config_hash" not in preamble:
+        raise ValueError(f"{path}: missing config preamble (# config: and # config_hash:)")
+    at, text = preamble["config"]
+    try:
+        config = PipelineConfig.from_dict(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{at}: bad config: {exc}") from None
+    at, stored = preamble["config_hash"]
+    if stored != config.hash:
+        raise ValueError(f"{path}:{at}: config_hash {stored} does not match the config ({config.hash})")
+
+    cols = _cache_columns(config)
+    reader = csv.reader(io.StringIO(body))
+    rows = filter(None, reader)  # blank lines carry nothing
     samples = []
-    for parts in reader:
-        if config is None:
-            raise ValueError(f"{path}: missing config preamble")
-        rid, label, env, motion, t_e = parts[:5]
-        values = np.array([float(v) for v in parts[5:]])
-        matrix = values.reshape(config.segments, config.bins)
-        samples.append(
-            LabeledSample(
-                feature=DoaFeature(matrix, config),
-                label=label,
-                meta=SampleMeta(rid, env, motion, float(t_e)),
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("no header row")
+        if header != cols:
+            raise ValueError(f"expected header {','.join(cols[:6])},...,{cols[-1]}")
+        for parts in rows:
+            if len(parts) != len(cols):
+                raise ValueError(f"expected {len(cols)} fields, got {len(parts)}")
+            rid, label, env, motion, t_e = parts[:5]
+            matrix = np.array([float(v) for v in parts[5:]]).reshape(config.segments, config.bins)
+            samples.append(
+                LabeledSample(
+                    feature=DoaFeature(matrix, config),
+                    label=label,
+                    meta=SampleMeta(rid, env, motion, float(t_e)),
+                )
             )
-        )
+    except (csv.Error, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno + reader.line_num}: {exc}") from None
     return samples

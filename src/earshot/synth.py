@@ -253,29 +253,26 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        path = None
-        if d.get("path") is not None:
-            path = SourcePath(np.asarray(d["path"]["times"]), np.asarray(d["path"]["points"]))
-        sig = d.get("signal", {})
-        pose = d.get("pose", {})
+        """Inverse of ``to_dict``; every key it writes is required."""
+        path = d["path"]
+        if path is not None:
+            path = SourcePath(np.asarray(path["times"]), np.asarray(path["points"]))
+        sig, pose = d["signal"], d["pose"]
         return cls(
             label=d["label"],
             duration=d["duration"],
             seed=d["seed"],
-            walls=np.asarray(d.get("walls", [])).reshape(-1, 2, 2),
+            walls=np.asarray(d["walls"]).reshape(-1, 2, 2),
             path=path,
             signal=SignalSpec(
-                band=tuple(sig.get("band", (50.0, 1500.0))),
-                tone_fundamental=sig.get("tone_fundamental"),
-                tone_harmonics=sig.get("tone_harmonics", 4),
-                tone_gain=sig.get("tone_gain", 0.5),
+                band=tuple(sig["band"]),
+                tone_fundamental=sig["tone_fundamental"],
+                tone_harmonics=sig["tone_harmonics"],
+                tone_gain=sig["tone_gain"],
             ),
-            pose=ArrayPose(
-                position=tuple(pose.get("position", (0.0, 0.0))),
-                heading_deg=pose.get("heading_deg", 0.0),
-            ),
-            snr_db=d.get("snr_db", 15.0),
-            noise_floor=d.get("noise_floor", 0.005),
+            pose=ArrayPose(position=tuple(pose["position"]), heading_deg=pose["heading_deg"]),
+            snr_db=d["snr_db"],
+            noise_floor=d["noise_floor"],
         )
 
 
@@ -432,7 +429,7 @@ def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000
 
 
 def random_planar_array(n_mics: int = 8, width: float = 0.8, height: float = 0.7,
-                        seed: int = 0, speed_of_sound: float = 343.0) -> ArrayGeometry:
+                        seed: int = 0) -> ArrayGeometry:
     """Semi-random vertical planar array: jittered x slots, random heights.
 
     One microphone per horizontal slot keeps the aperture fully used while the
@@ -446,22 +443,23 @@ def random_planar_array(n_mics: int = 8, width: float = 0.8, height: float = 0.7
     x = -width / 2 + slot * (np.arange(n_mics) + rng.uniform(0.15, 0.85, n_mics))
     y = rng.uniform(-height / 2, height / 2, n_mics)
     positions = np.column_stack([x, y, np.zeros(n_mics)])
-    return ArrayGeometry(positions, speed_of_sound)
+    return ArrayGeometry(positions)
 
 
 def t_junction_walls(env_type: str, street_width: float, cross_width: float,
-                     standoff: float, back: float = -30.0, reach: float = 50.0) -> np.ndarray:
-    """Corner walls of the recorder's street, plus the far wall for type A."""
+                     standoff: float) -> np.ndarray:
+    """Corner walls of the recorder's street (from 30 m behind the array to the
+    crossing street), plus the 100 m far wall for type A."""
     if env_type not in ("A", "B"):
         raise ValueError("env_type must be 'A' or 'B'")
     half = street_width / 2.0
     walls = [
-        [[-half, back], [-half, standoff]],
-        [[half, back], [half, standoff]],
+        [[-half, -30.0], [-half, standoff]],
+        [[half, -30.0], [half, standoff]],
     ]
     if env_type == "A":
         far = standoff + cross_width
-        walls.append([[-reach, far], [reach, far]])
+        walls.append([[-50.0, far], [50.0, far]])
     return np.asarray(walls, dtype=np.float64)
 
 
@@ -470,8 +468,7 @@ def t_junction_scenario(label: str, env_type: str = "A", seed: int = 0,
                         cross_width: float = 7.0, standoff: float = 8.0,
                         lane_frac: float = 0.5, t0_target: float = 4.5,
                         post_roll: float = 3.0, duration: float | None = None,
-                        tone_fundamental: float | None = 115.0,
-                        snr_db: float = 15.0, noise_floor: float = 0.005) -> Scenario:
+                        tone_fundamental: float | None = 115.0) -> Scenario:
     """A car approaching a T-junction behind buildings, or an empty street.
 
     The car drives along the crossing street at constant speed and reaches
@@ -487,8 +484,6 @@ def t_junction_scenario(label: str, env_type: str = "A", seed: int = 0,
             walls=walls,
             path=None,
             signal=SignalSpec(tone_fundamental=None),
-            snr_db=snr_db,
-            noise_floor=noise_floor,
         )
 
     v = speed_kmh / 3.6
@@ -510,26 +505,26 @@ def t_junction_scenario(label: str, env_type: str = "A", seed: int = 0,
         walls=walls,
         path=path,
         signal=SignalSpec(tone_fundamental=tone_fundamental),
-        snr_db=snr_db,
-        noise_floor=noise_floor,
     )
 
 
 def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int = 0,
-                   sample_rate: int = 48000, n_mics: int = 8, encoding: str = "pcm24",
-                   geometry: ArrayGeometry | None = None,
+                   n_mics: int = 8, encoding: str = "pcm24",
                    extra_preamble: dict | None = None) -> str:
     """Render a labeled corpus of T-junction scenes into a directory.
 
-    Writes one geometry JSON, a WAV and scenario JSON per recording, and a
-    manifest CSV; returns the manifest path.  Everything derives from the one
-    seed, so a rerun reproduces identical bytes.
+    Draws one random planar array of ``n_mics`` microphones and renders
+    ``per_class`` left, right and none scenes of junction type ``env_type``
+    at 48 kHz.  Writes one geometry JSON, a WAV (``encoding``) and scenario
+    JSON per recording, and a manifest CSV whose preamble holds the seed, the
+    environment, the class count and ``extra_preamble``; returns the manifest
+    path.  Everything derives from the one seed, so a rerun reproduces
+    identical bytes.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    if geometry is None:
-        geometry = random_planar_array(n_mics, seed=derive_seed(seed, "array"))
+    geometry = random_planar_array(n_mics, seed=derive_seed(seed, "array"))
     geom_path = os.path.join(out_dir, "geometry.json")
     save_geometry(geometry, geom_path)
 
@@ -553,7 +548,7 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
                     tone_fundamental=rng.uniform(90.0, 140.0),
                     duration=rng.uniform(6.5, 8.0) if situation == "none" else None,
                 )
-                rec = render(scenario, geometry, sample_rate)
+                rec = render(scenario, geometry)
                 stem = f"{env_type}_{situation}_{i:03d}"
                 wav_path = os.path.join(out_dir, stem + ".wav")
                 write_wav(rec.clip, wav_path, encoding=encoding)

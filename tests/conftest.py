@@ -2,14 +2,32 @@
 
 Rendering is the slow part of the suite, so the corpus is session-scoped and
 everything downstream (samples, folds, models) derives from it.
+
+Hypothesis runs without its example database, and its other on-disk cache
+(constants harvested from the source) goes to a temporary directory removed
+at exit, so the suite writes no ``.hypothesis/`` into the checkout.
+Generation stays random and every test keeps its own ``max_examples``.
 """
+
+import atexit
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from earshot.dataset import extract_samples, load_manifest
 from earshot.features import PipelineConfig
 from earshot.synth import make_benchmark
+
+settings.register_profile("earshot", database=None)
+settings.load_profile("earshot")
+if "HYPOTHESIS_STORAGE_DIRECTORY" not in os.environ:
+    _storage = tempfile.mkdtemp(prefix="earshot-hypothesis-")
+    atexit.register(shutil.rmtree, _storage, ignore_errors=True)
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = _storage
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,11 @@
 """One-vs-rest SVM training, calibration, persistence and the threshold rule."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from earshot.beamform import AzimuthGrid, DoaResponse
 from earshot.classifier import (
@@ -16,6 +20,7 @@ from earshot.classifier import (
     train,
 )
 from earshot.features import DoaFeature, LabeledSample, PipelineConfig, SampleMeta, mirror
+from earshot.util import config_hash
 
 CFG = PipelineConfig()
 
@@ -227,3 +232,192 @@ def test_grid_search_peaks_inside_the_threshold_range(bench_flat):
     assert 0 < grid[best] < 90
     assert accs[best] > accs[0]
     assert accs[best] > accs[-1]
+
+
+# ---------------------------------------------------------------------------
+# models check themselves on load
+
+
+def _short_row(p):
+    p["weights"][2] = p["weights"][2][:-1]
+
+
+def _nan(p):
+    p["calib_a"][1] = float("nan")
+
+
+def _inf(p):
+    p["weights"][0][7] = float("inf")
+
+
+def _zero_std(p):
+    p["scaler_std"][4] = 0.0
+
+
+def _negative_std(p):
+    p["scaler_std"][0] = -1.0
+
+
+def _edited_config(p):
+    p["config"]["f_max"] = 1400.0  # the stored config_hash is the old one
+
+
+def _config_without_hop(p):
+    del p["config"]["hop"]
+    p["config_hash"] = config_hash(p["config"])
+
+
+def _long_biases(p):
+    p["biases"].append(0.0)
+
+
+def _short_scaler_mean(p):
+    p["scaler_mean"].pop()
+
+
+def _scalar_calib_b(p):
+    p["calib_b"] = 0.5
+
+
+def _feature_dim(p):
+    p["feature_dim"] = 59
+
+
+def _swapped_sides(p):
+    p["class_order"] = ["right", "front", "left", "none"]
+
+
+def _no_weights(p):
+    del p["weights"]
+
+
+def _no_config_hash(p):
+    del p["config_hash"]
+
+
+# One hand edit of a valid model file per way it can go wrong, and the word
+# the error must name.
+MODEL_EDITS = {
+    "missing-weights": (_no_weights, "missing keys: weights"),
+    "missing-config-hash": (_no_config_hash, "missing keys: config_hash"),
+    "class-order": (_swapped_sides, "class order"),
+    "short-weights-row": (_short_row, "weights must be"),
+    "long-biases": (_long_biases, "biases must be"),
+    "short-scaler-mean": (_short_scaler_mean, "scaler_mean must be"),
+    "scalar-calib-b": (_scalar_calib_b, "calib_b must be"),
+    "feature-dim": (_feature_dim, "feature_dim"),
+    "nan": (_nan, "non-finite"),
+    "inf": (_inf, "non-finite"),
+    "zero-std": (_zero_std, "scaler_std must be positive"),
+    "negative-std": (_negative_std, "scaler_std must be positive"),
+    "config-hash": (_edited_config, "config_hash"),
+    "config-key": (_config_without_hop, "hop"),
+    "truncated": (None, "not JSON"),
+}
+
+
+def write_edited_model(model_path, out_path, case):
+    """Copy a model file with one of the MODEL_EDITS applied."""
+    edit, message = MODEL_EDITS[case]
+    text = model_path.read_text()
+    if edit is None:  # a file cut short
+        out_path.write_text(text[: len(text) // 2])
+        return message
+    payload = json.loads(text)
+    edit(payload)
+    out_path.write_text(json.dumps(payload))
+    return message
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(train(blob_set(per_class=5), lam=1.0, seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_EDITS))
+def test_load_model_rejects_hand_edited_files(tmp_path, model_file, case):
+    bad = tmp_path / f"{case}.json"
+    message = write_edited_model(model_file, bad, case)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(bad)
+
+
+def _model_config():
+    return st.builds(PipelineConfig, segments=st.integers(1, 4), bins=st.integers(2, 12),
+                     sample_len=st.floats(0.1, 5.0))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), config=_model_config(), lam=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_model_file_round_trip(tmp_path_factory, data, config, lam, seed):
+    """save_model then load_model gives back every number exactly."""
+    n, dim = len(CLASS_ORDER), config.feature_dim
+    model = SvmModel(
+        weights=data.draw(arrays(np.float64, (n, dim), elements=finite)),
+        biases=data.draw(arrays(np.float64, n, elements=finite)),
+        scaler_mean=data.draw(arrays(np.float64, dim, elements=finite)),
+        scaler_std=data.draw(arrays(np.float64, dim, elements=st.floats(1e-300, 1e300))),
+        calib_a=data.draw(arrays(np.float64, n, elements=finite)),
+        calib_b=data.draw(arrays(np.float64, n, elements=finite)),
+        lam=lam, seed=seed, feature_dim=dim, config=config.to_dict(),
+    )
+    path = tmp_path_factory.mktemp("rt") / "m.json"
+    save_model(model, path, extra={"origin": "round-trip"})
+    back = load_model(path)
+    for key in ("weights", "biases", "scaler_mean", "scaler_std", "calib_a", "calib_b"):
+        assert np.array_equal(getattr(back, key), getattr(model, key)), key
+    assert (back.lam, back.seed, back.feature_dim) == (lam, seed, dim)
+    assert back.config == model.config and back.class_order == CLASS_ORDER
+
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 100), st.floats(), st.text(max_size=5),
+    st.lists(st.floats(-2.0, 2.0), max_size=3), st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def _model_edit(draw, payload):
+    """One random edit somewhere in a model's JSON tree: drop, replace or
+    resize a value at any depth."""
+    node = payload
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        action = draw(st.sampled_from(["drop", "replace", "grow"]))
+        if action == "drop":
+            del node[key]
+        elif action == "grow" and isinstance(child, list):
+            child.append(draw(_json_values))
+        else:
+            node[key] = draw(_json_values)
+        break
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_model_fuzz_loads_or_raises_model_format_error(model_file, tmp_path_factory, data):
+    """Any one edit of a valid model file either loads into a usable model or
+    raises ModelFormatError (exit 4); it never escapes as KeyError,
+    IndexError or TypeError."""
+    payload = data.draw(_model_edit(json.loads(model_file.read_text())))
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    path.write_text(json.dumps(payload))
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    probs = predict(model, np.linspace(0.0, 1.0, model.feature_dim)).probs
+    assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) < 1e-9

@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from earshot import __version__
-from earshot.audio import AudioClip, write_wav, save_geometry
+from earshot.audio import AudioClip, load_geometry, load_wav, write_wav, save_geometry
+from earshot.beamform import srp_phat
 from earshot.cli import build_parser, main, resolve_run_config
 from earshot.dataset import RecordingManifest, load_manifest, save_manifest
+from earshot.features import PipelineConfig
+from earshot.stft import band_select, stft
 from earshot.synth import random_planar_array
 from earshot.util import config_hash
 
 from synthref import render_plane_wave
+from test_classifier import MODEL_EDITS, write_edited_model
+from test_features import CACHE_EDITS, write_edited_cache
 
 
 def read_rows(path):
@@ -288,3 +293,50 @@ def test_micstudy_csv_and_size_validation(tmp_path, bench_dir, capsys):
     assert main(["micstudy", str(bench_dir), "--sizes", "two"]) == 2
     assert main(["micstudy", str(bench_dir), "--sizes", ","]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,cfg", [
+    ([], PipelineConfig()),
+    (["--segments", "3"], PipelineConfig(segments=3)),
+    (["--bins", "12", "--window", "0.5", "--fmax", "900"],
+     PipelineConfig(bins=12, sample_len=0.5, f_max=900.0)),
+])
+def test_doa_map_equals_the_direct_chain_bit_for_bit(tmp_path, front_wav, capsys, flags, cfg):
+    """`doa` goes through extract_feature with one segment; its energies are
+    the old trailing -> stft -> band_select -> srp_phat chain, bit for bit,
+    whatever --segments says."""
+    wav, gj = front_wav
+    out = tmp_path / "map.csv"
+    assert main(["doa", str(wav), str(gj), "--out", str(out), *flags]) == 0
+    _, rows = read_rows(out)
+    window = load_wav(wav).trailing(cfg.sample_len)
+    stack = band_select(stft(window, cfg.frame_len, cfg.hop), cfg.f_min, cfg.f_max)
+    want = srp_phat(stack, load_geometry(gj), cfg.grid)
+    assert [r["azimuth_deg"] for r in rows] == [repr(float(c)) for c in cfg.grid.bin_centers]
+    assert [r["energy"] for r in rows] == [repr(float(e)) for e in want.energies]
+    capsys.readouterr()
+
+
+def assert_exit_4(argv, capsys, message):
+    """Exit 4 with one `earshot: error:` line naming the fault, no traceback."""
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("earshot: error:") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_EDITS))
+def test_predict_exits_4_on_hand_edited_model(tmp_path, arts, front_wav, capsys, case):
+    wav, gj = front_wav
+    bad = tmp_path / f"{case}.json"
+    message = write_edited_model(arts["model"], bad, case)
+    assert_exit_4(["predict", str(wav), str(gj), "--model", str(bad)], capsys, message)
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_EDITS))
+def test_train_and_eval_exit_4_on_hand_edited_cache(tmp_path, arts, capsys, case):
+    bad = tmp_path / f"{case}.csv"
+    message = write_edited_cache(arts["features"], bad, case)
+    assert_exit_4(["train", str(bad), "--out", str(tmp_path / "m.json")], capsys, message)
+    assert_exit_4(["eval", str(bad), "--out", str(tmp_path / "r.json")], capsys, message)
+    assert not (tmp_path / "m.json").exists()

@@ -1,7 +1,10 @@
 """Manifest files, labeled-sample extraction times and fold assignment."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from earshot.audio import AudioClip, write_wav
 from earshot.dataset import (
@@ -90,6 +93,47 @@ def test_manifest_round_trip(tmp_path):
     # relative paths resolve against the manifest directory
     assert first.wav == str(tmp_path / "a.wav")
     assert back.entries[1].environment == "B"
+
+
+# Single-line file names: any printable text, commas, quotes, spaces, a
+# leading "#" and non-ASCII included.
+_names = st.text(st.characters(exclude_categories=("Cs", "Cc")), min_size=1, max_size=12)
+_times = st.one_of(st.none(), st.floats(0.0, 1e4), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _entries(draw):
+    situation = draw(st.sampled_from(["left", "right", "none"]))
+    motion = draw(st.sampled_from(["static", "dynamic"]))
+    t0, tau0 = draw(_times), draw(_times)
+    if situation != "none":  # the annotation the entry needs must be present
+        if motion == "static" and t0 is None:
+            t0 = draw(st.floats(0.0, 1e4))
+        if motion == "dynamic" and tau0 is None:
+            tau0 = draw(st.floats(0.0, 1e4))
+    return ManifestEntry(wav=draw(_names) + ".wav", geometry=draw(_names) + ".json",
+                         situation=situation, environment=draw(_names), motion=motion,
+                         t0=t0, tau0=tau0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(_entries(), min_size=1, max_size=4))
+@example(entries=[ManifestEntry(wav="#2 take é.wav", geometry="g.json", situation="none"),
+                  ManifestEntry(wav='a, "b".wav', geometry="#g.json", situation="left", t0=4.5)])
+def test_manifest_round_trip_any_names(tmp_path_factory, entries):
+    """save_manifest then load_manifest(check_files=False) gives back every
+    field; relative names resolve against the manifest's directory."""
+    path = tmp_path_factory.mktemp("m") / "manifest.csv"
+    save_manifest(RecordingManifest(entries), path, preamble={"seed": 3})
+    back = load_manifest(path, check_files=False).entries
+    root = os.path.dirname(os.path.abspath(path))
+    assert len(back) == len(entries)
+    for orig, got in zip(entries, back):
+        assert got.wav == os.path.join(root, orig.wav)
+        assert got.geometry == os.path.join(root, orig.geometry)
+        assert (got.situation, got.environment, got.motion) == (
+            orig.situation, orig.environment, orig.motion)
+        assert (got.t0, got.tau0) == (orig.t0, orig.tau0)
 
 
 def test_manifest_checks_referenced_files(tmp_path):

@@ -7,10 +7,13 @@ from earshot.classifier import train
 from earshot.dataset import load_manifest
 from earshot.evaluate import (
     ConfusionMatrix,
+    FoldResult,
+    _report_from_confusion,
     accepted_labels,
     accuracy,
     cross_validate,
     doa_baseline_eval,
+    evaluate_model,
     feature_response,
     generalization_eval,
     jaccard,
@@ -29,6 +32,7 @@ from earshot.features import (
     augment_training_set,
     mirror,
 )
+from earshot.util import derive_seed
 
 CFG = PipelineConfig()
 BUMPS = {"left": [2, 3, 4], "front": [14, 15], "right": [25, 26, 27], "none": []}
@@ -158,6 +162,32 @@ def test_generalization_disjoint_and_overlap():
     assert abs(report.accuracy - cv.accuracy) <= 0.1
     with pytest.raises(ValueError, match="both sides"):
         generalization_eval(train_set, train_set, seed=0)
+
+
+def _generalization_reference(train_samples, test_samples, lam=1.0, seed=0, augment=True):
+    """The fold body generalization_eval had before it shared cross_validate's."""
+    if augment:
+        train_samples = augment_training_set(train_samples)
+    model = train(train_samples, lam=lam, seed=derive_seed(seed, "train-generalization"))
+    cm = evaluate_model(model, test_samples)
+    report = _report_from_confusion(cm)
+    report.folds = [FoldResult(accuracy=report.accuracy, n_train=len(train_samples),
+                               n_test=len(test_samples), confusion=cm,
+                               test_recordings=sorted({s.meta.recording_id for s in test_samples}))]
+    return report
+
+
+@pytest.mark.parametrize("augment", [True, False])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_generalization_report_equals_the_old_fold_body(seed, augment):
+    train_set = blob_corpus(6, tag="tr_")
+    test_set = blob_corpus(4, tag="te_")
+    got = generalization_eval(train_set, test_set, lam=0.5, seed=seed, augment=augment)
+    want = _generalization_reference(train_set, test_set, lam=0.5, seed=seed, augment=augment)
+    assert got.to_dict() == want.to_dict()
+    assert got.to_csv() == want.to_csv()
+    # the fold keeps one id per test sample, as the folds of cross_validate do
+    assert got.folds[0].test_recordings == [s.meta.recording_id for s in test_set]
 
 
 def test_transfer_across_junction_types(bench_samples, bench_b_dir, default_config):

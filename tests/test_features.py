@@ -1,7 +1,10 @@
 """Stacked DoA features, mirroring and the feature cache format."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earshot.audio import AudioClip
 from earshot.features import (
@@ -157,20 +160,23 @@ def test_feature_cache_round_trip(tmp_path):
 
 
 def test_feature_cache_quotes_recording_ids(tmp_path):
-    """An id with a comma round-trips; ids that need no quoting stay bare."""
+    """Ids with a comma, quotes, a line break, a carriage return or a leading
+    "#" round-trip; ids that need no quoting stay bare."""
     cfg = PipelineConfig()
     samples = [sample_stub("left", "junction,take 1", cfg, seed=1),
                sample_stub("none", 'say "hi"', cfg, seed=2),
+               sample_stub("front", "#4\ntake\r2", cfg, seed=4),
                sample_stub("right", "plain", cfg, seed=3)]
     path = tmp_path / "cache.csv"
     save_features(samples, path)
-    plain = samples[2]
+    plain = samples[3]
     fields = ["plain", "right", "A", "static", repr(plain.meta.t_e)]
     fields += [repr(float(v)) for v in plain.feature.flat]
     assert path.read_text().splitlines()[-1] == ",".join(fields)
 
     back = load_features(path)
-    assert [s.meta.recording_id for s in back] == ["junction,take 1", 'say "hi"', "plain"]
+    assert [s.meta.recording_id for s in back] == [
+        "junction,take 1", 'say "hi"', "#4\ntake\r2", "plain"]
     for orig, got in zip(samples, back):
         assert np.array_equal(got.feature.matrix, orig.feature.matrix)
 
@@ -238,3 +244,177 @@ def test_features_of_a_window_view_match_a_contiguous_copy():
         got = extract_feature(window, GEOM, cfg).matrix
         assert np.array_equal(got, extract_feature(copy, GEOM, cfg).matrix)
     assert np.array_equal(recording.samples, before)
+
+
+# ---------------------------------------------------------------------------
+# feature caches check themselves on load
+
+
+def _index(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def _edit_config(change):
+    def apply(lines):
+        i = _index(lines, "# config: ")
+        config = json.loads(lines[i][len("# config: "):])
+        change(config)
+        lines[i] = "# config: " + json.dumps(config, sort_keys=True)
+    return apply
+
+
+def _garble_config(lines):
+    i = _index(lines, "# config: ")
+    lines[i] = lines[i][:-1]  # drop the closing brace
+
+
+def _drop_line(prefix):
+    def apply(lines):
+        del lines[_index(lines, prefix)]
+    return apply
+
+
+def _rename_column(lines):
+    i = _index(lines, "recording_id,")
+    lines[i] = lines[i].replace(",x_0,", ",x_00,")
+
+
+def _edit_row(change, message):
+    """Edit the first data row; the error must name its line."""
+    def apply(lines):
+        i = _index(lines, "recording_id,") + 1
+        fields = lines[i].split(",")  # the ids of these caches hold no commas
+        change(fields)
+        lines[i] = ",".join(fields)
+        return f":{i + 1}: {message}"
+    return apply
+
+
+def _set(index, value):
+    return lambda fields: fields.__setitem__(index, value)
+
+
+# One hand edit of a valid default-config cache per way it can go wrong, and
+# the text its error must hold.
+CACHE_EDITS = {
+    "config-without-hop": (_edit_config(lambda c: c.pop("hop")), "bad config"),
+    "config-unknown-key": (_edit_config(lambda c: c.update(taps=3)), "bad config"),
+    "config-not-json": (_garble_config, "bad config"),
+    "edited-fmax": (_edit_config(lambda c: c.update(f_max=1400.0)), "config_hash"),
+    "no-config-hash": (_drop_line("# config_hash:"), "missing config preamble"),
+    "no-config": (_drop_line("# config:"), "missing config preamble"),
+    "header": (_rename_column, "expected header"),
+    "short-row": (_edit_row(lambda f: f.pop(), "expected 65 fields, got 64"), None),
+    "long-row": (_edit_row(lambda f: f.append("0.5"), "expected 65 fields, got 66"), None),
+    "not-a-number": (_edit_row(_set(9, "abc"), "could not convert"), None),
+    "negative-energy": (_edit_row(_set(9, "-0.5"), "feature energies must be finite"), None),
+    "nan-energy": (_edit_row(_set(9, "nan"), "feature energies must be finite"), None),
+    "label": (_edit_row(_set(1, "up"), "label must be one of"), None),
+    "t_e": (_edit_row(_set(4, "soon"), "could not convert"), None),
+}
+
+
+def write_edited_cache(cache_path, out_path, case):
+    """Copy a default-config cache with one of the CACHE_EDITS applied; returns
+    the text its error must hold."""
+    lines = cache_path.read_text().splitlines()
+    edit, message = CACHE_EDITS[case]
+    message = edit(lines) or message
+    out_path.write_text("\n".join(lines) + "\n")
+    return message
+
+
+@pytest.fixture(scope="module")
+def cache_file(tmp_path_factory):
+    cfg = PipelineConfig()
+    path = tmp_path_factory.mktemp("cache") / "cache.csv"
+    save_features([sample_stub(lab, f"r{i}", cfg, seed=i)
+                   for i, lab in enumerate(["left", "front", "right", "none"])], path,
+                  extra_header={"origin": "unit-test"})
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_EDITS))
+def test_load_features_rejects_hand_edited_caches(tmp_path, cache_file, case):
+    bad = tmp_path / f"{case}.csv"
+    message = write_edited_cache(cache_file, bad, case)
+    with pytest.raises(ValueError) as exc:
+        load_features(bad)
+    assert message in str(exc.value)
+
+
+def test_pipeline_config_from_dict_wants_exactly_its_keys():
+    full = PipelineConfig().to_dict()
+    for bad in ({k: v for k, v in full.items() if k != "hop"}, {**full, "taps": 3},
+                {**full, "bins": "30"}, [1, 2]):
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict(bad)
+
+
+_ids = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), segments=st.integers(1, 3), bins=st.integers(2, 8),
+       n=st.integers(1, 5))
+def test_feature_cache_round_trip_any_ids(tmp_path_factory, data, segments, bins, n):
+    """Arbitrary recording ids (commas, quotes, line breaks, a leading #) and
+    any finite non-negative energies load back exactly."""
+    cfg = PipelineConfig(segments=segments, bins=bins)
+    energies = st.floats(0.0, 1e300)
+    samples = [
+        LabeledSample(
+            DoaFeature(np.array(data.draw(st.lists(energies, min_size=cfg.feature_dim,
+                                                   max_size=cfg.feature_dim)))
+                       .reshape(segments, bins), cfg),
+            data.draw(st.sampled_from(["left", "front", "right", "none"])),
+            SampleMeta(data.draw(_ids), data.draw(st.sampled_from(["A", "B"])),
+                       data.draw(st.sampled_from(["static", "dynamic"])),
+                       data.draw(st.floats(-1e6, 1e6))),
+        )
+        for _ in range(n)
+    ]
+    path = tmp_path_factory.mktemp("rt") / "cache.csv"
+    save_features(samples, path)
+    back = load_features(path)
+    assert len(back) == n
+    for orig, got in zip(samples, back):
+        assert got.meta == orig.meta and got.label == orig.label
+        assert np.array_equal(got.feature.matrix, orig.feature.matrix)
+        assert got.feature.config == cfg
+
+
+_line_edits = st.sampled_from(["drop", "duplicate", "truncate", "insert", "replace", "swap"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), action=_line_edits)
+def test_feature_cache_fuzz_loads_or_raises_value_error(tmp_path_factory, cache_file, data, action):
+    """Any one line edit of a valid cache either loads into valid samples or
+    raises ValueError (exit 4); never KeyError, IndexError or TypeError."""
+    lines = cache_file.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    cut = data.draw(st.integers(0, len(line)), label="cut")
+    text = data.draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=8), label="text")
+    if action == "drop":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, line)
+    elif action == "truncate":
+        lines[i] = line[:cut]
+    elif action == "insert":
+        lines[i] = line[:cut] + text + line[cut:]
+    elif action == "replace":
+        lines[i] = text
+    else:
+        j = data.draw(st.integers(0, len(lines) - 1), label="other")
+        lines[i], lines[j] = lines[j], line
+    path = tmp_path_factory.mktemp("fuzz") / "cache.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        samples = load_features(path)
+    except ValueError:
+        return
+    for s in samples:
+        assert s.feature.matrix.shape == (s.feature.config.segments, s.feature.config.bins)

@@ -389,6 +389,36 @@ def _zigzag_scene(seed):
                     pose=ArrayPose((0.3, -0.2), heading_deg=12.0))
 
 
+@pytest.mark.parametrize("scenario", [
+    _zigzag_scene(3),  # slanted walls, a rotated and shifted pose, a tone
+    Scenario(label="none", duration=0.4, seed=2, walls=_zigzag_scene(3).walls[:2],
+             signal=SignalSpec(band=(80.0, 900.0), tone_harmonics=2, tone_gain=0.25),
+             pose=ArrayPose((1.5, -2.0), heading_deg=-30.0), snr_db=9.0, noise_floor=0.01),
+], ids=["zigzag", "none"])
+def test_scenario_dict_round_trip(scenario):
+    """from_dict(to_dict(s)) rebuilds every field, path None included."""
+    back = Scenario.from_dict(scenario.to_dict())
+    assert back.to_dict() == scenario.to_dict()
+    assert (back.path is None) == (scenario.path is None)
+    assert back.signal == scenario.signal and back.pose == scenario.pose
+    geom = random_planar_array(3, seed=4)
+    assert np.array_equal(render(back, geom).clip.samples, render(scenario, geom).clip.samples)
+
+
+@pytest.mark.parametrize("key", ["walls", "path", "signal", "pose", "snr_db", "noise_floor",
+                                 "signal.band", "signal.tone_gain", "pose.heading_deg"])
+def test_scenario_dict_missing_key_raises(key):
+    """to_dict writes every key, so from_dict takes none of them as a default."""
+    d = _zigzag_scene(3).to_dict()
+    outer, _, inner = key.partition(".")
+    if inner:
+        del d[outer][inner]
+    else:
+        del d[outer]
+    with pytest.raises(KeyError):
+        Scenario.from_dict(d)
+
+
 def test_blocked_matrix_matches_reference_on_touching_and_collinear_segments():
     rng = np.random.default_rng(5)
     # small integer grids make endpoints touch and segments run collinear
