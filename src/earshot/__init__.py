@@ -16,6 +16,7 @@ from .audio import (
     load_geometry,
     load_wav,
     save_geometry,
+    wav_frames,
     write_wav,
 )
 from .beamform import AzimuthGrid, DoaResponse, argmax_doa, gcc_phat_cross, srp_phat, steering_delays
@@ -90,5 +91,6 @@ __all__ = [
     "stft",
     "t_junction_scenario",
     "train",
+    "wav_frames",
     "write_wav",
 ]

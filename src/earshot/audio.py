@@ -10,8 +10,10 @@ writes and what multichannel recorders write.  Integer samples are scaled by
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,54 +172,53 @@ def _read_exact(fh, n, what):
     return buf
 
 
-def _read_payload(fh, n):
-    """The next n bytes of fh in a uint8 array with one zero pad byte after them."""
-    buf = np.zeros(n + 1, dtype=np.uint8)
-    if fh.readinto(buf[:n]) != n:
-        raise WavFormatError("truncated file while reading data chunk")
-    return buf
+class _Layout(NamedTuple):
+    """Where a WAV file's frames lie and how they are encoded."""
+
+    sample_rate: int
+    channels: int
+    bits: int
+    dtype: str  # the item read at each sample's first byte
+    width: int  # bytes per sample
+    offset: int  # file position of the first frame
+    n_frames: int
 
 
-def load_wav(path) -> AudioClip:
-    """Read a PCM16, PCM24 or float32 WAV file into an AudioClip.
+def _read_layout(fh, path) -> _Layout:
+    """Parse the RIFF chunks of an open WAV file without reading its samples.
 
-    The encoding is given by the fmt chunk's format tag, or, for
-    WAVE_FORMAT_EXTENSIBLE (0xFFFE, with a fmt chunk of at least 40 bytes), by
-    its PCM or IEEE float sub-format GUID.  Integer PCM is normalized by
-    2**(bits-1); float payloads are taken as-is.  The samples are decoded in
-    one pass into a C-ordered (channels, frames) float64 array; a partial
-    trailing frame is dropped.  Raises WavFormatError for malformed
-    containers, UnsupportedEncodingError for encodings outside the supported
-    set and EmptyStreamError when the data chunk holds no whole frame.
-    Unreadable paths raise the usual OSError.
+    The data chunk's declared end must lie within the file: a truncated file
+    is refused here, whatever range of frames is read afterwards.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
-            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    header = fh.read(12)
+    if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    file_size = os.fstat(fh.fileno()).st_size
 
-        fmt = None
-        data = None
-        while True:
-            chunk_header = fh.read(8)
-            if len(chunk_header) < 8:
-                break
-            chunk_id, size = struct.unpack("<4sI", chunk_header)
-            if chunk_id == b"fmt ":
-                fmt = _read_exact(fh, size, "fmt chunk")
-            elif chunk_id == b"data":
-                data = _read_payload(fh, size)
-            else:
-                fh.seek(size, 1)
-            if size % 2:
-                fh.seek(1, 1)
-            if fmt is not None and data is not None:
-                break
+    fmt = None
+    data = None  # (offset, size) of the data chunk's payload
+    while True:
+        chunk_header = fh.read(8)
+        if len(chunk_header) < 8:
+            break
+        chunk_id, size = struct.unpack("<4sI", chunk_header)
+        if chunk_id == b"fmt ":
+            fmt = _read_exact(fh, size, "fmt chunk")
+        else:
+            if chunk_id == b"data":
+                data = (fh.tell(), size)
+                if data[0] + size > file_size:
+                    raise WavFormatError("truncated file while reading data chunk")
+            fh.seek(size, 1)
+        if size % 2:
+            fh.seek(1, 1)
+        if fmt is not None and data is not None:
+            break
 
-        if fmt is None or len(fmt) < 16:
-            raise WavFormatError(f"{path}: missing fmt chunk")
-        if data is None:
-            raise WavFormatError(f"{path}: missing data chunk")
+    if fmt is None or len(fmt) < 16:
+        raise WavFormatError(f"{path}: missing fmt chunk")
+    if data is None:
+        raise WavFormatError(f"{path}: missing data chunk")
 
     audio_format, n_channels, sample_rate, _, block_align, bits = struct.unpack(
         "<HHIIHH", fmt[:16]
@@ -245,16 +246,64 @@ def load_wav(path) -> AudioClip:
             f"{path}: format tag {audio_format} at {bits} bits is not supported"
         )
 
-    n_frames = (data.size - 1) // (width * n_channels)
+    n_frames = data[1] // (width * n_channels)
     if n_frames == 0:
         raise EmptyStreamError(f"{path}: data chunk holds no samples")
+    return _Layout(sample_rate, n_channels, bits, dtype, width, data[0], n_frames)
+
+
+def wav_frames(path) -> tuple:
+    """(sample_rate, n_frames) of a WAV file, from its header alone.
+
+    Checks the file as load_wav does and raises the same errors.
+    """
+    with open(path, "rb") as fh:
+        layout = _read_layout(fh, path)
+    return layout.sample_rate, layout.n_frames
+
+
+def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
+    """Read frames [start, stop) of a PCM16, PCM24 or float32 WAV file.
+
+    The default range is the whole file; a partial trailing frame is dropped.
+    Only the requested frames are read and decoded, so `earshot extract`
+    reads just the span its windows cover.  The encoding is given by the fmt
+    chunk's format tag, or, for WAVE_FORMAT_EXTENSIBLE (0xFFFE, with a fmt
+    chunk of at least 40 bytes), by its PCM or IEEE float sub-format GUID.
+    Integer PCM is normalized by 2**(bits-1); float payloads are taken as-is.
+    The frames are decoded in one pass into a C-ordered (channels, frames)
+    float64 array, and a range holds the same values as the same columns of
+    the whole file.  Raises WavFormatError for malformed containers,
+    including a data chunk that runs past the end of the file, for any range;
+    UnsupportedEncodingError for encodings outside the supported set;
+    EmptyStreamError when the data chunk holds no whole frame; and ValueError
+    for a range that is empty or reaches outside [0, n_frames).  Unreadable
+    paths raise the usual OSError.
+    """
+    with open(path, "rb") as fh:
+        sample_rate, n_channels, bits, dtype, width, offset, total = _read_layout(fh, path)
+        if stop is None:
+            stop = total
+        if not 0 <= start < stop <= total:
+            raise ValueError(
+                f"{path}: frame range [{start}, {stop}) is empty or outside "
+                f"the file's {total} frames"
+            )
+        n_frames = stop - start
+        fh.seek(offset + start * width * n_channels)
+        # The range's bytes and one zero pad byte after them.
+        data = np.zeros(n_frames * width * n_channels + 1, dtype=np.uint8)
+        if fh.readinto(data[:-1]) != data.size - 1:
+            raise WavFormatError("truncated file while reading data chunk")
+
     # The interleaved payload seen as (channels, frames).  A pcm24 item is the
     # four bytes from the start of its sample: the sample's three, then one
     # that belongs to the next sample (or the pad byte) and is shifted out;
     # the shift is unsigned, and reading the result as <i4 makes the sample's
-    # top bit the sign, so the item is the sample times 2**8.  Each ufunc writes a fresh C-ordered array; left to itself it would
-    # follow the strided input into F order, and every window read after
-    # would be strided.
+    # top bit the sign, so the item is the sample times 2**8.  Each ufunc
+    # writes a fresh C-ordered array; left to itself it would follow the
+    # strided input into F order, and every window read after would be
+    # strided.
     frames = np.ndarray(
         (n_channels, n_frames), dtype, buffer=data, strides=(width, width * n_channels)
     )

@@ -125,6 +125,22 @@ def _fit_linear_svm(x: np.ndarray, y: np.ndarray, lam: float):
     return best_w, best_b, trace
 
 
+def _by_sign(z: np.ndarray, nonneg, neg) -> np.ndarray:
+    """``nonneg(z)`` where z >= 0 and ``neg(z)`` elsewhere (NaN included), each
+    form evaluated only on the elements that select it, so the form that
+    would overflow on the other tail never sees them."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = nonneg(z[pos])
+    out[~pos] = neg(z[~pos])
+    return out
+
+
+def _platt_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)) without overflow on either tail."""
+    return _by_sign(z, lambda v: np.exp(-v) / (1.0 + np.exp(-v)), lambda v: 1.0 / (1.0 + np.exp(v)))
+
+
 def _fit_platt(scores: np.ndarray, positive: np.ndarray):
     """Platt's sigmoid fit: p = 1 / (1 + exp(a * s + b)), at most 100 Newton
     steps with backtracking."""
@@ -138,13 +154,13 @@ def _fit_platt(scores: np.ndarray, positive: np.ndarray):
     def nll(av, bv):
         z = av * scores + bv
         # log(1 + exp(z)) evaluated stably on both tails
-        softplus = np.where(z >= 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
+        softplus = _by_sign(z, lambda v: v + np.log1p(np.exp(-v)), lambda v: np.log1p(np.exp(v)))
         return float(np.sum(target * z + softplus - z))
 
     err = nll(a, b)
     for _ in range(100):
         z = a * scores + b
-        p = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+        p = _platt_sigmoid(z)
         d1 = target - p
         grad_a = float(np.dot(scores, d1))
         grad_b = float(d1.sum())
@@ -236,7 +252,7 @@ def predict(model: SvmModel, feature) -> Prediction:
         raise ValueError(f"feature has {flat.size} dims, model expects {model.feature_dim}")
     scores = decision_values(model, flat)
     z = model.calib_a * scores + model.calib_b
-    raw = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
+    raw = _platt_sigmoid(z)
     total = raw.sum()
     probs = raw / total if total > 1e-300 else np.full(len(raw), 1.0 / len(raw))
     label = model.class_order[int(np.argmax(probs))]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import load_geometry, load_wav
+from .audio import load_geometry, load_wav, wav_frames
 from .features import LabeledSample, PipelineConfig, SampleMeta, extract_feature
 from .util import write_text
 
@@ -74,8 +74,10 @@ class RecordingManifest:
 def save_manifest(manifest: RecordingManifest, path, preamble: dict | None = None) -> None:
     """Write a manifest CSV under an optional ``# key: value`` preamble.
 
-    A row whose WAV name starts with "#" has every field quoted, so the
-    reader does not take it for a comment.
+    Fields are CSV-quoted where needed, so names may hold commas, quotes or
+    line breaks.  A row whose WAV name starts with "#", or whose text holds a
+    carriage return (which the minimal quoting leaves bare), has every field
+    quoted.
     """
     buf = io.StringIO()
     for key, value in (preamble or {}).items():
@@ -84,27 +86,34 @@ def save_manifest(manifest: RecordingManifest, path, preamble: dict | None = Non
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(_MANIFEST_COLS)
     for e in manifest:
-        (quoted if e.wav.startswith("#") else writer).writerow(
-            [
-                e.wav,
-                e.geometry,
-                e.situation,
-                e.environment,
-                e.motion,
-                "" if e.t0 is None else repr(float(e.t0)),
-                "" if e.tau0 is None else repr(float(e.tau0)),
-            ]
-        )
+        row = [
+            e.wav,
+            e.geometry,
+            e.situation,
+            e.environment,
+            e.motion,
+            "" if e.t0 is None else repr(float(e.t0)),
+            "" if e.tau0 is None else repr(float(e.tau0)),
+        ]
+        bare = not e.wav.startswith("#") and "\r" not in "".join(row[:5])
+        (writer if bare else quoted).writerow(row)
     write_text(path, buf.getvalue())
 
 
 def load_manifest(path, check_files: bool = True) -> RecordingManifest:
-    """Read a manifest CSV; relative file paths resolve against its directory."""
+    """Read a manifest CSV; relative file paths resolve against its directory.
+
+    Comment lines are read only before the header, and the rows after it
+    with the csv module, so a quoted name may start with "#" or hold a line
+    break.
+    """
     root = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path) as fh:
-        rows = [line for line in fh if line.strip() and not line.startswith("#")]
-    reader = csv.reader(rows)
+    with open(path, newline="") as fh:
+        body = fh.read()
+    while body.startswith("#"):
+        body = body.partition("\n")[2]
+    reader = filter(None, csv.reader(io.StringIO(body)))  # blank lines carry nothing
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != _MANIFEST_COLS:
         raise ValueError(f"{path}: expected header {','.join(_MANIFEST_COLS)}")
@@ -140,18 +149,29 @@ def extraction_times(entry: ManifestEntry, duration: float, none_probes=None):
     return [(entry.situation, float(anchor)), ("front", float(anchor) + FRONT_OFFSET)]
 
 
-def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: PipelineConfig) -> list:
-    """Labeled samples from an already-loaded recording."""
-    samples = []
-    for label, t_e in extraction_times(entry, clip.duration):
-        end = int(round(t_e * clip.sample_rate))
-        length = int(round(config.sample_len * clip.sample_rate))
-        if end - length < 0 or end > clip.n_samples:
+def _windows(entry: ManifestEntry, sample_rate: int, n_frames: int, config: PipelineConfig):
+    """(label, t_e, start, stop) of each window a recording contributes, the
+    window being frames [start, stop); one that does not fit the recording is
+    a ValueError."""
+    duration = n_frames / sample_rate
+    length = int(round(config.sample_len * sample_rate))
+    windows = []
+    for label, t_e in extraction_times(entry, duration):
+        end = int(round(t_e * sample_rate))
+        if end - length < 0 or end > n_frames:
             raise ValueError(
                 f"{entry.recording_id}: window [{t_e - config.sample_len:.2f}, {t_e:.2f}] s "
-                f"falls outside the {clip.duration:.2f} s recording"
+                f"falls outside the {duration:.2f} s recording"
             )
-        window = clip.samples[:, end - length : end]
+        windows.append((label, t_e, end - length, end))
+    return windows
+
+
+def _labeled_samples(clip, first: int, windows, geometry, entry, config) -> list:
+    """Features of the windows, sliced from a clip that starts at frame ``first``."""
+    samples = []
+    for label, t_e, start, stop in windows:
+        window = clip.samples[:, start - first : stop - first]
         feature = extract_feature(type(clip)(window, clip.sample_rate), geometry, config)
         samples.append(
             LabeledSample(
@@ -168,11 +188,21 @@ def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: Pipe
     return samples
 
 
+def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: PipelineConfig) -> list:
+    """Labeled samples from an already-loaded recording."""
+    windows = _windows(entry, clip.sample_rate, clip.n_samples, config)
+    return _labeled_samples(clip, 0, windows, geometry, entry, config)
+
+
 def extract_samples(entry: ManifestEntry, config: PipelineConfig) -> list:
-    """Load a manifest entry from disk and extract its labeled samples."""
-    clip = load_wav(entry.wav)
+    """Labeled samples of a manifest entry, reading from disk only the span of
+    frames that its windows cover."""
+    sample_rate, n_frames = wav_frames(entry.wav)
+    windows = _windows(entry, sample_rate, n_frames, config)
+    first = min(start for _, _, start, _ in windows)
+    clip = load_wav(entry.wav, first, max(stop for *_, stop in windows))
     geometry = load_geometry(entry.geometry)
-    return extract_samples_from_clip(clip, geometry, entry, config)
+    return _labeled_samples(clip, first, windows, geometry, entry, config)
 
 
 def stratified_folds(samples, k: int, seed: int = 0) -> list:

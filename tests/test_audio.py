@@ -21,6 +21,7 @@ from earshot.audio import (
     load_geometry,
     load_wav,
     save_geometry,
+    wav_frames,
     write_wav,
 )
 from earshot.cli import main
@@ -154,6 +155,79 @@ def test_load_wav_matches_reference_on_arbitrary_payloads(encoding, channels, pa
                 load_wav(path)
         else:
             assert_same_samples(load_wav(path).samples, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    encoding=st.sampled_from(sorted(ENCODINGS)),
+    channels=st.integers(1, 9),
+    extensible=st.booleans(),
+)
+def test_ranged_load_equals_columns_of_the_whole_file(data, encoding, channels, extensible):
+    """Frames [a, b) hold the bytes of the same columns of the whole file; the
+    payload may end in a partial frame or a stray partial sample."""
+    fmt_tag, bits = ENCODINGS[encoding]
+    frame_bytes = channels * bits // 8
+    payload = data.draw(st.binary(min_size=frame_bytes, max_size=400))
+    if extensible:
+        raw = build_wav(EXTENSIBLE, channels, 8000, bits, payload, guid=sub_format(fmt_tag))
+    else:
+        raw = build_wav(fmt_tag, channels, 8000, bits, payload)
+    n_frames = len(payload) // frame_bytes
+    a = data.draw(st.integers(0, n_frames - 1), label="start")
+    b = data.draw(st.integers(a + 1, n_frames), label="stop")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.wav"
+        path.write_bytes(raw)
+        whole = load_wav(path)
+        assert whole.n_samples == n_frames
+        assert wav_frames(path) == (8000, n_frames)
+        part = load_wav(path, a, b)
+        assert part.sample_rate == 8000
+        assert_same_samples(part.samples, np.ascontiguousarray(whole.samples[:, a:b]))
+        assert_same_samples(load_wav(path, a).samples,
+                            np.ascontiguousarray(whole.samples[:, a:]))
+
+
+def test_truncated_data_chunk_fails_for_every_range(tmp_path):
+    """The header declares more data than the file holds: every read fails,
+    a range that lies wholly inside the bytes present included."""
+    payload = payload_for("pcm24", 2, 37, np.random.default_rng(5))
+    path = tmp_path / "trunc.wav"
+    path.write_bytes(build_wav(1, 2, 48000, 24, payload)[:-5])
+    for start, stop in [(0, None), (0, 1), (3, 10), (30, 37), (36, None)]:
+        with pytest.raises(WavFormatError, match="truncated file while reading data chunk"):
+            load_wav(path, start, stop)
+    with pytest.raises(WavFormatError, match="truncated"):
+        wav_frames(path)
+
+
+def test_bad_frame_ranges_raise_value_error(tmp_path):
+    path = tmp_path / "x.wav"
+    payload = payload_for("pcm16", 3, 20, np.random.default_rng(1))
+    path.write_bytes(build_wav(1, 3, 16000, 16, payload))
+    for start, stop in [(0, 0), (5, 5), (6, 5), (-1, 4), (0, 21), (20, None), (25, 30)]:
+        with pytest.raises(ValueError, match="frame range"):
+            load_wav(path, start, stop)
+    assert load_wav(path, 19).n_samples == 1
+    assert load_wav(path, 0, 20).n_samples == 20
+
+
+def test_wav_frames_shares_the_header_checks(tmp_path):
+    path = tmp_path / "x.wav"
+    path.write_bytes(build_wav(EXTENSIBLE, 8, 44100, 32, bytes(8 * 4 * 11 + 5),
+                               junk_before=True, guid=sub_format(3)))
+    assert wav_frames(path) == (44100, 11)
+    path.write_bytes(build_wav(1, 2, 8000, 24, b""))
+    with pytest.raises(EmptyStreamError):
+        wav_frames(path)
+    path.write_bytes(build_wav(1, 1, 8000, 8, b"\x80\x80"))
+    with pytest.raises(UnsupportedEncodingError):
+        wav_frames(path)
+    path.write_bytes(b"OggS" + b"\x00" * 40)
+    with pytest.raises(WavFormatError):
+        wav_frames(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """One-vs-rest SVM training, calibration, persistence and the threshold rule."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,61 @@ def test_predict_dimension_check():
     model = train(blob_set(per_class=5), lam=1.0, seed=0)
     with pytest.raises(ValueError):
         predict(model, np.zeros(61))
+
+
+def _where_both(z, nonneg, neg):
+    """The calibration forms as they were evaluated before: np.where over both
+    branches, whose discarded branch may overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(z >= 0, nonneg(z), neg(z))
+
+
+def _sigmoid_old(z):
+    return _where_both(z, lambda v: np.exp(-v) / (1.0 + np.exp(-v)),
+                       lambda v: 1.0 / (1.0 + np.exp(v)))
+
+
+def test_predict_far_calibration_tails_raise_no_warnings():
+    """With |a*s + b| far past 709 on both sides, predict warns about nothing
+    and gives the probabilities of the old two-branch form bit for bit."""
+    model = train(blob_set(per_class=10), lam=1.0, seed=1)
+    model.calib_a = model.calib_a * 5e3
+    rng = np.random.default_rng(4)
+    tails = set()
+    for _ in range(20):
+        x = rng.uniform(0, 1, size=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = predict(model, x)
+        z = model.calib_a * got.scores + model.calib_b
+        tails |= {int(np.sign(v)) for v in z if abs(v) > 709}
+        raw = _sigmoid_old(z)
+        assert np.all(np.isfinite(raw))
+        want = raw / raw.sum() if raw.sum() > 1e-300 else np.full(4, 0.25)
+        assert got.probs.tobytes() == want.tobytes()
+    assert tails == {-1, 1}
+
+
+def test_platt_forms_match_the_two_branch_form_bit_for_bit(monkeypatch):
+    """Each calibration form, evaluated per sign, equals the old np.where over
+    both branches on every element, the far tails, +-0 and NaN included.  A
+    Platt fit whose line search reaches |a*s + b| > 709 raises no warning and
+    lands where the two-branch forms took it."""
+    from earshot import classifier
+
+    z = np.concatenate([np.linspace(-2000.0, 2000.0, 4001), [-0.0, 0.0, 709.8, -709.8, np.nan]])
+    assert classifier._platt_sigmoid(z).tobytes() == _sigmoid_old(z).tobytes()
+    softplus = (lambda v: v + np.log1p(np.exp(-v)), lambda v: np.log1p(np.exp(v)))
+    assert classifier._by_sign(z, *softplus).tobytes() == _where_both(z, *softplus).tobytes()
+
+    rng = np.random.default_rng(0)
+    scores = np.concatenate([rng.normal(-0.5, 1.0, 200), rng.normal(0.5, 1.0, 200), [2e3, -2e3]])
+    positive = np.r_[np.zeros(200, bool), np.ones(200, bool), True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classifier._fit_platt(scores, positive)
+    monkeypatch.setattr(classifier, "_by_sign", _where_both)
+    assert repr(got) == repr(classifier._fit_platt(scores, positive))
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Manifest files, labeled-sample extraction times and fold assignment."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from earshot.audio import AudioClip, write_wav
+from earshot import dataset
+from earshot.audio import AudioClip, load_geometry, load_wav, wav_frames, write_wav
 from earshot.dataset import (
     ManifestEntry,
     RecordingManifest,
@@ -17,7 +19,13 @@ from earshot.dataset import (
     save_manifest,
     stratified_folds,
 )
-from earshot.features import DoaFeature, LabeledSample, PipelineConfig, SampleMeta
+from earshot.features import (
+    DoaFeature,
+    LabeledSample,
+    PipelineConfig,
+    SampleMeta,
+    extract_feature,
+)
 from earshot.synth import random_planar_array
 from earshot.audio import save_geometry
 
@@ -95,9 +103,9 @@ def test_manifest_round_trip(tmp_path):
     assert back.entries[1].environment == "B"
 
 
-# Single-line file names: any printable text, commas, quotes, spaces, a
-# leading "#" and non-ASCII included.
-_names = st.text(st.characters(exclude_categories=("Cs", "Cc")), min_size=1, max_size=12)
+# File names of any text: commas, quotes, spaces, a leading "#", non-ASCII,
+# line breaks, carriage returns and other control characters included.
+_names = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=12)
 _times = st.one_of(st.none(), st.floats(0.0, 1e4), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -120,6 +128,10 @@ def _entries(draw):
 @given(entries=st.lists(_entries(), min_size=1, max_size=4))
 @example(entries=[ManifestEntry(wav="#2 take é.wav", geometry="g.json", situation="none"),
                   ManifestEntry(wav='a, "b".wav', geometry="#g.json", situation="left", t0=4.5)])
+@example(entries=[ManifestEntry(wav="take\n2.wav", geometry="g\r.json", situation="none",
+                                environment="B\r\n"),
+                  ManifestEntry(wav="#\r.wav", geometry="\x00\x1f.json", situation="right",
+                                t0=1.0)])
 def test_manifest_round_trip_any_names(tmp_path_factory, entries):
     """save_manifest then load_manifest(check_files=False) gives back every
     field; relative names resolve against the manifest's directory."""
@@ -175,6 +187,93 @@ def test_extract_samples_from_benchmark(bench_manifest, default_config):
     quiet = next(e for e in bench_manifest if e.situation == "none")
     only = extract_samples(quiet, default_config)
     assert [s.label for s in only] == ["none"]
+
+
+def _extract_whole_file(entry, config):
+    """extract_samples as it was before ranged reads: decode the whole file,
+    then slice each window from it."""
+    clip = load_wav(entry.wav)
+    geometry = load_geometry(entry.geometry)
+    samples = []
+    for label, t_e in extraction_times(entry, clip.duration):
+        end = int(round(t_e * clip.sample_rate))
+        length = int(round(config.sample_len * clip.sample_rate))
+        if end - length < 0 or end > clip.n_samples:
+            raise ValueError(
+                f"{entry.recording_id}: window [{t_e - config.sample_len:.2f}, {t_e:.2f}] s "
+                f"falls outside the {clip.duration:.2f} s recording"
+            )
+        window = clip.samples[:, end - length : end]
+        samples.append((label, t_e, extract_feature(AudioClip(window, clip.sample_rate),
+                                                    geometry, config)))
+    return samples
+
+
+def _same_samples(got, want):
+    assert [(s.label, s.meta.t_e) for s in got] == [(label, t_e) for label, t_e, _ in want]
+    for s, (_, _, feature) in zip(got, want):
+        assert s.feature.matrix.tobytes() == feature.matrix.tobytes()
+
+
+def _variants(entry, sample_rate, n_frames):
+    """The entry itself, a dynamic twin anchored by tau0, and a twin whose
+    front window ends on the last frame."""
+    out = [entry]
+    if entry.situation != "none":
+        out.append(dataclasses.replace(entry, motion="dynamic", t0=None, tau0=entry.t0 - 1.2))
+        out.append(dataclasses.replace(entry, t0=n_frames / sample_rate - 1.5))
+    return out
+
+
+def test_ranged_extract_equals_the_whole_file_path(bench_manifest, bench_b_dir, default_config):
+    """extract_samples reads only the span its windows cover and gives the
+    features of the whole-file path bit for bit: env A and B corpora, none
+    recordings, dynamic entries and a window ending on the last frame."""
+    entries = list(bench_manifest) + list(load_manifest(bench_b_dir))
+    assert {e.environment for e in entries} == {"A", "B"}
+    assert {e.situation for e in entries} == {"left", "right", "none"}
+    last_frame_windows = 0
+    for base in entries:
+        sample_rate, n_frames = wav_frames(base.wav)
+        for e in _variants(base, sample_rate, n_frames):
+            want = _extract_whole_file(e, default_config)
+            _same_samples(extract_samples(e, default_config), want)
+            _same_samples(extract_samples_from_clip(load_wav(e.wav), load_geometry(e.geometry),
+                                                    e, default_config), want)
+            last_frame_windows += int(round(want[-1][1] * sample_rate)) == n_frames
+    assert last_frame_windows == sum(e.situation != "none" for e in entries)
+
+
+def test_extract_reads_only_the_covered_span(bench_manifest, default_config, monkeypatch):
+    reads = []
+
+    def spy(path, start=0, stop=None):
+        reads.append((start, stop))
+        return load_wav(path, start, stop)
+
+    monkeypatch.setattr(dataset, "load_wav", spy)
+    for e in bench_manifest:
+        sample_rate, n_frames = wav_frames(e.wav)
+        length = int(round(default_config.sample_len * sample_rate))
+        ends = [int(round(t_e * sample_rate)) for _, t_e in
+                extraction_times(e, n_frames / sample_rate)]
+        reads.clear()
+        extract_samples(e, default_config)
+        assert reads == [(min(ends) - length, max(ends))]
+        assert max(ends) - min(ends) + length < n_frames / 2
+
+
+def test_ranged_extract_keeps_the_bounds_check(bench_manifest, default_config):
+    side = next(e for e in bench_manifest if e.situation == "right")
+    sample_rate, n_frames = wav_frames(side.wav)
+    late = dataclasses.replace(side, t0=n_frames / sample_rate - 1.4)
+    early = dataclasses.replace(side, t0=0.5)
+    for e in (late, early):
+        with pytest.raises(ValueError, match="outside") as got:
+            extract_samples(e, default_config)
+        with pytest.raises(ValueError, match="outside") as want:
+            _extract_whole_file(e, default_config)
+        assert str(got.value) == str(want.value)
 
 
 def test_folds_balanced_20_per_class():
