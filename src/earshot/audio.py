@@ -312,7 +312,8 @@ def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
     elif bits == 16:
         samples = np.multiply(frames, 2.0**-15, order="C")
     else:
-        samples = frames.astype(np.float64, order="C")
+        with np.errstate(invalid="ignore"):  # a signalling NaN loads as NaN, silently
+            samples = frames.astype(np.float64, order="C")
     return AudioClip(samples, sample_rate)
 
 

@@ -22,7 +22,7 @@ from . import __version__
 from ._backend import BACKEND
 from .audio import WavError, load_geometry, load_wav
 from .classifier import load_model, save_model, train
-from .dataset import ManifestEntry, extract_samples, load_manifest
+from .dataset import ManifestEntry, extract_manifest, load_manifest
 from .evaluate import (
     cross_validate,
     doa_baseline_eval,
@@ -158,9 +158,7 @@ def cmd_doa(args, run: dict) -> int:
 def cmd_extract(args, run: dict) -> int:
     cfg = _pipeline(run)
     manifest = load_manifest(args.manifest)
-    samples = []
-    for entry in manifest:
-        samples.extend(extract_samples(entry, cfg))
+    samples = extract_manifest(manifest, cfg)
     save_features(samples, args.out, extra_header=_provenance(run))
     print(f"extracted {len(samples)} samples from {len(manifest)} recordings -> {args.out}")
     return 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +204,64 @@ def extract_samples(entry: ManifestEntry, config: PipelineConfig) -> list:
     clip = load_wav(entry.wav, first, max(stop for *_, stop in windows))
     geometry = load_geometry(entry.geometry)
     return _labeled_samples(clip, first, windows, geometry, entry, config)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def extract_manifest(manifest, config: PipelineConfig) -> list:
+    """Labeled samples of every manifest entry, in manifest order.
+
+    min(usable cores, recordings) threads extract at once: the calling thread
+    and one new thread per further core each take the next unclaimed entry
+    until none is left.  WAV reads, FFTs and array arithmetic release the
+    interpreter lock, so the threads share the cores.  Every entry goes
+    through ``extract_samples`` alone, so the samples do not depend on the
+    number of threads.  When entries fail, no entry is claimed after the
+    failure, the threads are joined, and the error of the first failing entry
+    in manifest order is raised, as a serial loop would raise it.
+    """
+    entries = list(manifest)
+    results = [None] * len(entries)
+    errors = {}
+    lock = threading.Lock()
+    stop = threading.Event()
+    unclaimed = iter(range(len(entries)))
+
+    def claim():
+        with lock:
+            return None if stop.is_set() else next(unclaimed, None)
+
+    def work():
+        while (index := claim()) is not None:
+            try:
+                results[index] = extract_samples(entries[index], config)
+            except Exception as exc:  # re-raised by the calling thread
+                with lock:
+                    errors[index] = exc
+                    stop.set()
+                return
+
+    helpers = [
+        threading.Thread(target=work, name=f"earshot-extract-{n}")
+        for n in range(1, min(_usable_cores(), len(entries)))
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        stop.set()  # an interrupted caller leaves the helpers nothing more to claim
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return [sample for samples in results for sample in samples]
 
 
 def stratified_folds(samples, k: int, seed: int = 0) -> list:

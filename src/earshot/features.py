@@ -22,7 +22,7 @@ import numpy as np
 
 from .audio import ArrayGeometry, AudioClip
 from .beamform import AzimuthGrid, srp_phat
-from .stft import StftStack, band_select, stft
+from .stft import StftStack, stft
 from .util import config_hash, write_text
 
 LABELS = ("left", "front", "right", "none")
@@ -139,7 +139,9 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
     """Compute the stacked DoA feature from the trailing window of a clip.
 
     The window is a view of the clip's samples (``AudioClip.trailing``); it
-    is only read, and the STFT makes the one copy the analysis needs.
+    is only read.  One banded STFT call transforms it channel by channel and
+    keeps only the [f_min, f_max] bins, so neither the windowed frames nor
+    the full spectrum of all channels is ever held at once.
     """
     window = clip.trailing(config.sample_len)
     if config.sample_len * clip.sample_rate / config.segments < config.frame_len:
@@ -148,7 +150,7 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
             f"{config.sample_len} s / {config.segments} segments cannot fit a "
             f"{config.frame_len}-sample frame at {clip.sample_rate} Hz"
         )
-    stack = band_select(stft(window, config.frame_len, config.hop), config.f_min, config.f_max)
+    stack = stft(window, config.frame_len, config.hop, (config.f_min, config.f_max))
     n_frames = stack.n_frames
     if n_frames < config.segments:
         raise ValueError(f"only {n_frames} frames for {config.segments} segments")

@@ -51,11 +51,22 @@ class StftStack:
         return self.bin_indices * (self.sample_rate / self.frame_len)
 
 
-def stft(clip: AudioClip, frame_len: int = 2048, hop: int = 1024) -> StftStack:
+def stft(
+    clip: AudioClip, frame_len: int = 2048, hop: int = 1024, band: tuple | None = None
+) -> StftStack:
     """Windowed one-sided STFT of every channel.
 
     The number of frames is floor((N - frame_len) / hop) + 1; a trailing
-    partial frame is discarded.
+    partial frame is discarded.  Channels are transformed one at a time, so
+    the working arrays hold one channel's frames and one channel's spectrum,
+    never the whole clip's.
+
+    ``band=(f_min, f_max)`` keeps only the bins that ``band_select`` keeps
+    and equals ``band_select(stft(clip, frame_len, hop), f_min, f_max)`` in
+    values, shape and strides: the stack is stored bin-major, the layout that
+    ``band_select``'s boolean index gives.  Sums over frames follow the
+    layout (``srp_phat`` sums cross-spectra over frames), so the layout keeps
+    their last bits.  ``band=None`` keeps every bin, in C order.
     """
     if frame_len < 2 or frame_len % 2:
         raise ValueError("frame_len must be even and >= 2")
@@ -65,28 +76,47 @@ def stft(clip: AudioClip, frame_len: int = 2048, hop: int = 1024) -> StftStack:
         raise ValueError(
             f"clip has {clip.n_samples} samples, shorter than one {frame_len}-sample frame"
         )
-    frames = sliding_window_view(clip.samples, frame_len, axis=1)[:, ::hop, :]
+    n_frames = (clip.n_samples - frame_len) // hop + 1
+    n_bins = frame_len // 2 + 1
+    bin_indices = np.arange(n_bins)
+    if band is None:
+        data = np.empty((clip.channels, n_frames, n_bins), dtype=np.complex128)
+        keep = slice(None)
+    else:
+        bin_indices = bin_indices[_band_mask(bin_indices, clip.sample_rate, frame_len, *band)]
+        keep = slice(bin_indices[0], bin_indices[-1] + 1)
+        data = np.empty((bin_indices.size, clip.channels, n_frames), dtype=np.complex128)
+        data = data.transpose(1, 2, 0)
     window = hann_window(frame_len)
-    data = np.fft.rfft(frames * window, axis=2)
+    frames = np.empty((n_frames, frame_len))
+    for ch, samples in enumerate(clip.samples):
+        np.multiply(sliding_window_view(samples, frame_len)[::hop], window, out=frames)
+        data[ch] = np.fft.rfft(frames, axis=1)[:, keep]
     return StftStack(
         data=data,
         sample_rate=clip.sample_rate,
         frame_len=frame_len,
         hop=hop,
-        bin_indices=np.arange(frame_len // 2 + 1),
+        bin_indices=bin_indices,
     )
+
+
+def _band_mask(bin_indices, sample_rate, frame_len, f_min, f_max) -> np.ndarray:
+    """Which bins have their center frequency in [f_min, f_max], inclusive."""
+    if not 0 <= f_min < f_max:
+        raise ValueError("need 0 <= f_min < f_max")
+    if f_max > sample_rate / 2:
+        raise ValueError("f_max exceeds the Nyquist frequency")
+    freqs = bin_indices * (sample_rate / frame_len)
+    keep = (freqs >= f_min) & (freqs <= f_max)
+    if not np.any(keep):
+        raise ValueError(f"no STFT bins fall inside [{f_min}, {f_max}] Hz")
+    return keep
 
 
 def band_select(stack: StftStack, f_min: float, f_max: float) -> StftStack:
     """Keep only bins whose center frequency lies in [f_min, f_max], inclusive."""
-    if not 0 <= f_min < f_max:
-        raise ValueError("need 0 <= f_min < f_max")
-    if f_max > stack.sample_rate / 2:
-        raise ValueError("f_max exceeds the Nyquist frequency")
-    freqs = stack.bin_freqs
-    keep = (freqs >= f_min) & (freqs <= f_max)
-    if not np.any(keep):
-        raise ValueError(f"no STFT bins fall inside [{f_min}, {f_max}] Hz")
+    keep = _band_mask(stack.bin_indices, stack.sample_rate, stack.frame_len, f_min, f_max)
     return StftStack(
         data=stack.data[:, :, keep],
         sample_rate=stack.sample_rate,

@@ -3,6 +3,7 @@
 import struct
 import tempfile
 import uuid
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,8 @@ def reference_decode(payload, fmt_tag, channels, bits):
         values = (padded.view("<i4").ravel() >> 8).astype(np.float64) / 8388608.0
     else:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
-        values = raw.astype(np.float64)
+        with np.errstate(invalid="ignore"):  # signalling NaNs cast to NaN
+            values = raw.astype(np.float64)
     n_frames = values.size // channels
     if n_frames == 0:
         return None
@@ -366,6 +368,22 @@ def test_float32_round_trip_bit_exact(tmp_path):
     back = load_wav(path)
     assert back.sample_rate == 96000
     assert np.array_equal(back.samples.astype(np.float32), data)
+
+
+@pytest.mark.parametrize("extensible", [False, True])
+def test_float32_signalling_nan_loads_as_nan_without_a_warning(tmp_path, extensible):
+    bits = np.array([0x7FA00000, 0xFFA00001, 0x7FC00000, 0x3F000000], dtype="<u4")
+    guid = sub_format(3) if extensible else None
+    path = tmp_path / "snan.wav"
+    path.write_bytes(build_wav(EXTENSIBLE if extensible else 3, 2, 48000, 32,
+                               bits.tobytes(), guid=guid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clip = load_wav(path)
+        want = reference_decode(bits.tobytes(), 3, 2, 32)
+    assert np.isnan(clip.samples[:, 0]).all() and np.isnan(clip.samples[0, 1])
+    assert clip.samples[1, 1] == 0.5
+    assert_same_samples(clip.samples, want)
 
 
 def test_many_channel_file(tmp_path):

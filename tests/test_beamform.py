@@ -1,5 +1,9 @@
 """Steering geometry, PHAT weighting and the steered-power scan."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -242,6 +246,45 @@ def test_steered_power_matches_reference_across_alternating_inputs():
     d = scan_input(28, 30, 62, tau=a[2].reshape(28, 30), omega=a[3])  # same bytes, new shape
     for args in (a, b, a, c, a, d, b, a):
         assert np.array_equal(kernels.steered_power(*args), _steered_power_reference(*args))
+
+
+def test_steered_power_cache_is_thread_safe():
+    """`earshot extract` threads share the cos/sin cache: more threads than
+    cores, alternating two geometries at a short switch interval, each get
+    the single-threaded result on every call."""
+    rng = np.random.default_rng(23)
+    inputs = []
+    for _ in range(2):  # two 8-microphone arrays: a stale table has the right shape
+        g_re, g_im = rng.standard_normal((2, 28, 62))
+        tau = rng.uniform(-2e-3, 2e-3, size=(30, 28))
+        omega = 2 * np.pi * np.linspace(70.3, 1500.0, 62)
+        inputs.append((g_re, g_im, tau, omega))
+    want = [kernels.steered_power(*args) for args in inputs]
+    n_threads = 2 * (os.cpu_count() or 1) + 2
+    wrong, calls = [], [0] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def hammer(index):
+        start.wait(timeout=60)
+        for call in range(200):
+            which = (index + call) % 2
+            if not np.array_equal(kernels.steered_power(*inputs[which]), want[which]):
+                wrong.append((index, call))
+            calls[index] += 1
+
+    threads = [threading.Thread(target=hammer, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [200] * n_threads
+    assert wrong == []
 
 
 def test_lerp_mix_matches_reference_bit_for_bit():

@@ -2,16 +2,19 @@
 
 import dataclasses
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from earshot import dataset
+from earshot import cli, dataset
 from earshot.audio import AudioClip, load_geometry, load_wav, wav_frames, write_wav
 from earshot.dataset import (
     ManifestEntry,
     RecordingManifest,
+    extract_manifest,
     extract_samples,
     extract_samples_from_clip,
     extraction_times,
@@ -25,6 +28,7 @@ from earshot.features import (
     PipelineConfig,
     SampleMeta,
     extract_feature,
+    save_features,
 )
 from earshot.synth import random_planar_array
 from earshot.audio import save_geometry
@@ -274,6 +278,82 @@ def test_ranged_extract_keeps_the_bounds_check(bench_manifest, default_config):
         with pytest.raises(ValueError, match="outside") as want:
             _extract_whole_file(e, default_config)
         assert str(got.value) == str(want.value)
+
+
+def _extract_serially(manifest, config):
+    """cmd_extract's loop before extraction ran on threads."""
+    samples = []
+    for e in manifest:
+        samples.extend(extract_samples(e, config))
+    return samples
+
+
+def _extract_threads_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("earshot-extract")]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 20])
+def test_parallel_extract_bytes_equal_the_serial_loop(
+    tmp_path, bench_dir, bench_manifest, default_config, workers, monkeypatch
+):
+    """Every worker count writes the serial loop's feature cache bytes, and
+    each of the min(workers, recordings) threads takes part."""
+    n_threads = min(workers, len(bench_manifest))  # bench_manifest holds 12 recordings
+    monkeypatch.setattr(dataset, "_usable_cores", lambda: workers)
+    barrier = threading.Barrier(n_threads)
+    lock, seen = threading.Lock(), set()
+
+    def spy(e, config):
+        name = threading.current_thread().name
+        with lock:
+            first = name not in seen
+            seen.add(name)
+        if first:  # hold each thread's first entry until every thread has one
+            barrier.wait(timeout=60)
+        return extract_samples(e, config)
+
+    monkeypatch.setattr(dataset, "extract_samples", spy)
+    argv = ["extract", bench_dir, "--out", str(tmp_path / "got.csv")]
+    assert cli.main(argv) == 0
+    assert len(seen) == n_threads
+    assert _extract_threads_alive() == []
+
+    monkeypatch.undo()
+    serial = _extract_serially(bench_manifest, default_config)
+    run = cli.resolve_run_config(cli.build_parser().parse_args(argv))
+    save_features(serial, tmp_path / "want.csv", extra_header=cli._provenance(run))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    got = extract_manifest(bench_manifest, default_config)
+    assert [(s.label, s.meta) for s in got] == [(s.label, s.meta) for s in serial]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 20])
+def test_parallel_extract_names_the_first_bad_recording(
+    tmp_path, bench_manifest, workers, monkeypatch, capsys
+):
+    """Two recordings whose windows fall outside them: exit 4 names the first
+    in manifest order even when the later one fails first, and no extraction
+    thread outlives the command."""
+    entries = list(bench_manifest)
+    first, second = 2, len(entries) - 2
+    for i in (first, second):
+        entries[i] = dataclasses.replace(entries[i], situation="right", t0=0.5)
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(RecordingManifest(entries), manifest)
+    monkeypatch.setattr(dataset, "_usable_cores", lambda: workers)
+
+    def slow_first_failure(e, config):
+        if e.recording_id == entries[first].recording_id:
+            time.sleep(0.2)  # let the later bad recording fail first
+        return extract_samples(e, config)
+
+    monkeypatch.setattr(dataset, "extract_samples", slow_first_failure)
+    assert cli.main(["extract", str(manifest), "--out", str(tmp_path / "f.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"earshot: error: {entries[first].recording_id}: window")
+    assert entries[second].recording_id not in err
+    assert _extract_threads_alive() == []
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_folds_balanced_20_per_class():

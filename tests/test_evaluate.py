@@ -48,7 +48,7 @@ def blob(label, rid, seed, bump=None):
 
 
 def blob_corpus(per_class=10, tag=""):
-    return [blob(lab, f"{tag}{lab}{i}", hash((lab, i)) % 2**32)
+    return [blob(lab, f"{tag}{lab}{i}", derive_seed(0, f"blob:{lab}:{i}"))
             for lab in BUMPS for i in range(per_class)]
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from earshot.audio import AudioClip, hann_window
 from earshot.stft import StftStack, band_select, stft
@@ -150,3 +151,52 @@ def test_stack_shape_validation():
         StftStack(np.zeros((2, 3)), 1000, 64, 32, np.arange(3))
     with pytest.raises(ValueError):
         StftStack(np.zeros((1, 2, 3)), 1000, 64, 32, np.arange(4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    channels=st.integers(1, 9),
+    shape=st.sampled_from([(2048, 1024), (64, 32), (64, 64), (32, 7), (16, 40), (2, 1)]),
+)
+def test_banded_stft_equals_band_select_of_the_full_stft(data, channels, shape):
+    """stft(..., band) is band_select(stft(...)) in values, shape and strides:
+    the bin-major layout keeps the last bits of sums over frames."""
+    frame_len, hop = shape
+    n = data.draw(st.integers(frame_len, frame_len + 3 * hop + 5), label="samples")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rate = data.draw(st.sampled_from([1000, 8000, 48000]), label="rate")
+    clip = AudioClip(np.random.default_rng(seed).standard_normal((channels, n)), rate)
+    df = rate / frame_len
+    n_bins = frame_len // 2 + 1
+    kind = data.draw(st.sampled_from(["one bin", "all bins", "range"]), label="band")
+    lo = data.draw(st.integers(0, n_bins - 1), label="first bin")
+    hi = lo if kind == "one bin" else data.draw(st.integers(lo, n_bins - 1), label="last bin")
+    if kind == "all bins":
+        band = (0.0, rate / 2)
+    elif hi > lo:
+        band = (lo * df, hi * df)
+    else:  # f_min < f_max, both within half a bin of the one kept bin
+        band = (lo * df, (lo + 0.5) * df) if lo < n_bins - 1 else ((lo - 0.5) * df, lo * df)
+    full = stft(clip, frame_len, hop)
+    want = band_select(full, *band)
+    got = stft(clip, frame_len, hop, band)
+    assert got.data.shape == want.data.shape
+    assert got.data.strides == want.data.strides
+    assert got.data.tobytes(order="A") == want.data.tobytes(order="A")
+    assert np.array_equal(got.bin_indices, want.bin_indices)
+    if kind == "one bin":
+        assert got.n_bins == 1
+    if kind == "all bins":
+        assert got.n_bins == n_bins
+    assert full.data.flags.c_contiguous  # band=None keeps the C-ordered full spectrum
+
+
+def test_banded_stft_rejects_bands_as_band_select_does():
+    clip = AudioClip(np.zeros((1, 128)), 1000)
+    for band in [(300.0, 100.0), (0.0, 600.0), (20.0, 25.0)]:
+        with pytest.raises(ValueError) as want:
+            band_select(stft(clip, 64, 32), *band)
+        with pytest.raises(ValueError) as got:
+            stft(clip, 64, 32, band)
+        assert str(got.value) == str(want.value)
