@@ -112,8 +112,10 @@ class ArrayGeometry:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be an (M, 3) array")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be positive")
+        if not np.all(np.isfinite(self.positions)):
+            raise ValueError("microphone positions must be finite")
+        if not 0 < self.speed_of_sound < np.inf:
+            raise ValueError("speed_of_sound must be finite and positive")
         if len(np.unique(self.positions, axis=0)) != len(self.positions):
             raise ValueError("microphone positions must be distinct")
 
@@ -141,14 +143,17 @@ def save_geometry(geometry: ArrayGeometry, path) -> None:
 
 
 def load_geometry(path) -> ArrayGeometry:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """Read a ``save_geometry`` file.  Text that is not JSON, a missing key,
+    or a bad shape or value is a ValueError naming the file."""
     try:
-        positions = payload["positions"]
-        c = float(payload["speed_of_sound"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: not a geometry file") from exc
-    return ArrayGeometry(np.asarray(positions, dtype=np.float64), c)
+        with open(path) as fh:
+            payload = json.load(fh)
+        positions = np.asarray(payload["positions"], dtype=np.float64)
+        return ArrayGeometry(positions, float(payload["speed_of_sound"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: geometry file lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:  # undecodable or non-JSON text included
+        raise ValueError(f"{path}: bad geometry file: {exc}") from None
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -178,7 +183,7 @@ class _Layout(NamedTuple):
     sample_rate: int
     channels: int
     bits: int
-    dtype: str  # the item read at each sample's first byte
+    dtype: str  # the item read at each sample (pcm24: from the byte before it)
     width: int  # bytes per sample
     offset: int  # file position of the first frame
     n_frames: int
@@ -238,7 +243,7 @@ def _read_layout(fh, path) -> _Layout:
     if audio_format == _PCM and bits == 16:
         dtype, width = "<i2", 2
     elif audio_format == _PCM and bits == 24:
-        dtype, width = "<u4", 3
+        dtype, width = "<i4", 3
     elif audio_format == _IEEE_FLOAT and bits == 32:
         dtype, width = "<f4", 4
     else:
@@ -271,8 +276,8 @@ def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
     chunk's format tag, or, for WAVE_FORMAT_EXTENSIBLE (0xFFFE, with a fmt
     chunk of at least 40 bytes), by its PCM or IEEE float sub-format GUID.
     Integer PCM is normalized by 2**(bits-1); float payloads are taken as-is.
-    The frames are decoded in one pass into a C-ordered (channels, frames)
-    float64 array, and a range holds the same values as the same columns of
+    The frames are decoded into a C-ordered (channels, frames) float64
+    array, and a range holds the same values as the same columns of
     the whole file.  Raises WavFormatError for malformed containers,
     including a data chunk that runs past the end of the file, for any range;
     UnsupportedEncodingError for encodings outside the supported set;
@@ -291,24 +296,28 @@ def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
             )
         n_frames = stop - start
         fh.seek(offset + start * width * n_channels)
-        # The range's bytes and one zero pad byte after them.
-        data = np.zeros(n_frames * width * n_channels + 1, dtype=np.uint8)
-        if fh.readinto(data[:-1]) != data.size - 1:
+        # The range's bytes, after one zero pad byte for pcm24.
+        pad = int(bits == 24)
+        data = np.zeros(pad + n_frames * width * n_channels, dtype=np.uint8)
+        if fh.readinto(data[pad:]) != data.size - pad:
             raise WavFormatError("truncated file while reading data chunk")
 
     # The interleaved payload seen as (channels, frames).  A pcm24 item is the
-    # four bytes from the start of its sample: the sample's three, then one
-    # that belongs to the next sample (or the pad byte) and is shifted out;
-    # the shift is unsigned, and reading the result as <i4 makes the sample's
-    # top bit the sign, so the item is the sample times 2**8.  Each ufunc
-    # writes a fresh C-ordered array; left to itself it would follow the
-    # strided input into F order, and every window read after would be
-    # strided.
+    # four bytes that end with its sample: the byte before it (the pad byte
+    # for the first), then the sample's three.  As <i4 it is the sample times
+    # 2**8 plus that byte (0 to 255), so scaling by 2**-8 and flooring gives
+    # the sample exactly.  Every step works in place on the result: no other
+    # copy of the span is made, and few calls release the interpreter lock,
+    # which extract's threads would wait on.  The result is a fresh C-ordered
+    # array; a ufunc left to itself would follow the strided input into F
+    # order, and every window read after would be strided.
     frames = np.ndarray(
         (n_channels, n_frames), dtype, buffer=data, strides=(width, width * n_channels)
     )
     if bits == 24:
-        samples = np.multiply(np.left_shift(frames, 8, order="C").view("<i4"), 2.0**-31)
+        samples = np.multiply(frames, 2.0**-8, order="C")
+        np.floor(samples, out=samples)
+        samples *= 2.0**-23
     elif bits == 16:
         samples = np.multiply(frames, 2.0**-15, order="C")
     else:

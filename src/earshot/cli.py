@@ -39,7 +39,7 @@ from .features import (
     save_features,
 )
 from .synth import make_benchmark
-from .util import canonical_json, config_hash, write_text
+from .util import canonical_json, config_hash, csv_text, write_text
 
 
 class UsageError(Exception):
@@ -147,11 +147,8 @@ def cmd_doa(args, run: dict) -> int:
     geometry = load_geometry(args.geometry)
     # One segment over the whole trailing window: the map of every frame.
     energies = extract_feature(clip, geometry, replace(cfg, segments=1)).matrix[0]
-    lines = [f"# {k}: {v}" for k, v in _provenance(run).items()]
-    lines.append("azimuth_deg,energy")
-    for center, energy in zip(cfg.grid.bin_centers, energies):
-        lines.append(f"{float(center)!r},{float(energy)!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = ([repr(float(c)), repr(float(e))] for c, e in zip(cfg.grid.bin_centers, energies))
+    _emit(csv_text(_provenance(run), ["azimuth_deg", "energy"], rows), args.out)
     return 0
 
 
@@ -226,8 +223,7 @@ def cmd_eval(args, run: dict) -> int:
     payload.update(_provenance(run))
     write_text(args.out, canonical_json(payload) + "\n")
     if args.csv:
-        lines = [f"# {k}: {v}" for k, v in _provenance(run).items()]
-        write_text(args.csv, "\n".join(lines) + "\n" + report.to_csv())
+        write_text(args.csv, report.to_csv(_provenance(run)))
     jaccard = " ".join(f"J_{label}={report.jaccard[label]:.3f}" for label in report.classes)
     print(f"accuracy {report.accuracy:.3f} on {report.n} samples{note}; {jaccard}")
     return 0

@@ -17,8 +17,6 @@ counts greedily, so nothing from a test recording ever leaks into training.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import threading
 from dataclasses import dataclass, field
@@ -27,7 +25,7 @@ import numpy as np
 
 from .audio import load_geometry, load_wav, wav_frames
 from .features import LabeledSample, PipelineConfig, SampleMeta, extract_feature
-from .util import write_text
+from .util import csv_text, read_csv, write_text
 
 FRONT_OFFSET = 1.5
 DYNAMIC_OFFSET = 0.5
@@ -50,6 +48,8 @@ class ManifestEntry:
             raise ValueError(f"situation must be left/right/none, got {self.situation!r}")
         if self.motion not in ("static", "dynamic"):
             raise ValueError(f"motion must be static or dynamic, got {self.motion!r}")
+        if not all(t is None or np.isfinite(t) for t in (self.t0, self.tau0)):
+            raise ValueError(f"t0 and tau0 must be finite, got {self.t0!r} and {self.tau0!r}")
         if self.situation != "none":
             if self.motion == "static" and self.t0 is None:
                 raise ValueError(f"{self.wav}: static {self.situation} recording needs t0")
@@ -73,66 +73,38 @@ class RecordingManifest:
 
 
 def save_manifest(manifest: RecordingManifest, path, preamble: dict | None = None) -> None:
-    """Write a manifest CSV under an optional ``# key: value`` preamble.
-
-    Fields are CSV-quoted where needed, so names may hold commas, quotes or
-    line breaks.  A row whose WAV name starts with "#", or whose text holds a
-    carriage return (which the minimal quoting leaves bare), has every field
-    quoted.
-    """
-    buf = io.StringIO()
-    for key, value in (preamble or {}).items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(_MANIFEST_COLS)
-    for e in manifest:
-        row = [
-            e.wav,
-            e.geometry,
-            e.situation,
-            e.environment,
-            e.motion,
-            "" if e.t0 is None else repr(float(e.t0)),
-            "" if e.tau0 is None else repr(float(e.tau0)),
-        ]
-        bare = not e.wav.startswith("#") and "\r" not in "".join(row[:5])
-        (writer if bare else quoted).writerow(row)
-    write_text(path, buf.getvalue())
+    """Write a manifest CSV (format: ``util.csv_text``) under an optional
+    ``# key: value`` preamble."""
+    rows = (
+        [e.wav, e.geometry, e.situation, e.environment, e.motion]
+        + ["" if t is None else repr(float(t)) for t in (e.t0, e.tau0)]
+        for e in manifest
+    )
+    write_text(path, csv_text(preamble or {}, _MANIFEST_COLS, rows))
 
 
 def load_manifest(path, check_files: bool = True) -> RecordingManifest:
     """Read a manifest CSV; relative file paths resolve against its directory.
 
-    Comment lines are read only before the header, and the rows after it
-    with the csv module, so a quoted name may start with "#" or hold a line
-    break.
+    A foreign header, a row without one field per column, or a field that
+    does not parse is a ValueError that names the line at fault.
     """
     root = os.path.dirname(os.path.abspath(path))
+    _, rows = read_csv(path)
+    at, header = rows[0]
+    if [h.strip() for h in header] != _MANIFEST_COLS:
+        raise ValueError(f"{path}:{at}: expected header {','.join(_MANIFEST_COLS)}")
     entries = []
-    with open(path, newline="") as fh:
-        body = fh.read()
-    while body.startswith("#"):
-        body = body.partition("\n")[2]
-    reader = filter(None, csv.reader(io.StringIO(body)))  # blank lines carry nothing
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != _MANIFEST_COLS:
-        raise ValueError(f"{path}: expected header {','.join(_MANIFEST_COLS)}")
-    for row in reader:
-        wav, geometry, situation, environment, motion, t0, tau0 = row
-        if not os.path.isabs(wav):
-            wav = os.path.join(root, wav)
-        if not os.path.isabs(geometry):
-            geometry = os.path.join(root, geometry)
-        entry = ManifestEntry(
-            wav=wav,
-            geometry=geometry,
-            situation=situation,
-            environment=environment,
-            motion=motion,
-            t0=float(t0) if t0 else None,
-            tau0=float(tau0) if tau0 else None,
-        )
+    for at, row in rows[1:]:
+        try:
+            if len(row) != len(_MANIFEST_COLS):
+                raise ValueError(f"expected {len(_MANIFEST_COLS)} fields, got {len(row)}")
+            wav, geometry, situation, environment, motion, t0, tau0 = row
+            entry = ManifestEntry(os.path.join(root, wav), os.path.join(root, geometry),
+                                  situation, environment, motion,
+                                  float(t0) if t0 else None, float(tau0) if tau0 else None)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
         if check_files:
             for p in (entry.wav, entry.geometry):
                 if not os.path.exists(p):

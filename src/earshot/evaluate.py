@@ -21,7 +21,7 @@ from .beamform import DoaResponse
 from .classifier import CLASS_ORDER, doa_baseline, predict, train
 from .dataset import FRONT_OFFSET, ManifestEntry, extract_samples_from_clip, stratified_folds
 from .features import PipelineConfig, augment_training_set, extract_feature
-from .util import derive_seed
+from .util import csv_text, derive_seed
 
 
 @dataclass
@@ -122,18 +122,16 @@ class MetricsReport:
             ],
         }
 
-    def to_csv(self) -> str:
-        lines = ["metric,value"]
-        lines.append(f"accuracy,{self.accuracy!r}")
-        lines.append(f"n,{self.n}")
+    def to_csv(self, preamble: dict | None = None) -> str:
+        rows = [("accuracy", repr(self.accuracy)), ("n", self.n)]
         for label in self.classes:
-            lines.append(f"jaccard_{label},{self.jaccard[label]!r}")
-            lines.append(f"jaccard_{label}_degenerate,{int(self.degenerate[label])}")
+            rows.append((f"jaccard_{label}", repr(self.jaccard[label])))
+            rows.append((f"jaccard_{label}_degenerate", int(self.degenerate[label])))
         for i, f in enumerate(self.folds):
-            lines.append(f"fold{i}_accuracy,{f.accuracy!r}")
-            lines.append(f"fold{i}_n_train,{f.n_train}")
-            lines.append(f"fold{i}_n_test,{f.n_test}")
-        return "\n".join(lines) + "\n"
+            rows.append((f"fold{i}_accuracy", repr(f.accuracy)))
+            rows.append((f"fold{i}_n_train", f.n_train))
+            rows.append((f"fold{i}_n_test", f.n_test))
+        return csv_text(preamble or {}, ["metric", "value"], rows)
 
 
 def _report_from_confusion(cm: ConfusionMatrix, folds=None, classes=CLASS_ORDER) -> MetricsReport:
@@ -302,12 +300,12 @@ def sliding_window_eval(entry: ManifestEntry | None, model, config: PipelineConf
 
 
 def window_scores_to_csv(scores, preamble: dict | None = None) -> str:
-    lines = [f"# {k}: {v}" for k, v in (preamble or {}).items()]
-    lines.append("t_e,p_left,p_front,p_right,p_none,label_pred,label_true_accepted")
-    for s in scores:
-        probs = ",".join(repr(float(p)) for p in s.probs)
-        lines.append(f"{s.t_e!r},{probs},{s.label_pred},{'|'.join(s.accepted)}")
-    return "\n".join(lines) + "\n"
+    header = ["t_e", "p_left", "p_front", "p_right", "p_none", "label_pred", "label_true_accepted"]
+    rows = (
+        [repr(s.t_e), *(repr(float(p)) for p in s.probs), s.label_pred, "|".join(s.accepted)]
+        for s in scores
+    )
+    return csv_text(preamble or {}, header, rows)
 
 
 def mic_subset_study(recordings, config: PipelineConfig, subset_sizes, trials: int = 5,
@@ -357,8 +355,5 @@ def mic_subset_study(recordings, config: PipelineConfig, subset_sizes, trials: i
 
 
 def mic_study_to_csv(rows, preamble: dict | None = None) -> str:
-    lines = [f"# {k}: {v}" for k, v in (preamble or {}).items()]
-    lines.append("m,trials,best,mean,std")
-    for r in rows:
-        lines.append(f"{r['m']},{r['trials']},{r['best']!r},{r['mean']!r},{r['std']!r}")
-    return "\n".join(lines) + "\n"
+    cells = ([r["m"], r["trials"], repr(r["best"]), repr(r["mean"]), repr(r["std"])] for r in rows)
+    return csv_text(preamble or {}, ["m", "trials", "best", "mean", "std"], cells)

@@ -13,17 +13,15 @@ a training-time operation only; nothing here ever touches test samples.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .audio import ArrayGeometry, AudioClip
 from .beamform import AzimuthGrid, srp_phat
 from .stft import StftStack, stft
-from .util import config_hash, write_text
+from .util import config_hash, csv_text, read_csv, write_text
 
 LABELS = ("left", "front", "right", "none")
 _MIRROR_LABEL = {"left": "right", "right": "left", "front": "front", "none": "none"}
@@ -68,20 +66,12 @@ class PipelineConfig:
         return self.segments * self.bins
 
     def to_dict(self) -> dict:
-        return {
-            "sample_len": self.sample_len,
-            "segments": self.segments,
-            "bins": self.bins,
-            "f_min": self.f_min,
-            "f_max": self.f_max,
-            "frame_len": self.frame_len,
-            "hop": self.hop,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Inverse of ``to_dict``; a missing or unknown key is a ValueError."""
-        keys = set(cls().to_dict())
+        keys = {f.name for f in fields(cls)}
         if not isinstance(d, dict) or set(d) != keys:
             got = sorted(d) if isinstance(d, dict) else type(d).__name__
             raise ValueError(f"config must hold exactly the keys {sorted(keys)}, got {got}")
@@ -200,33 +190,25 @@ def _cache_columns(config: PipelineConfig) -> list:
 
 
 def save_features(samples, path, extra_header: dict | None = None) -> None:
-    """Write samples to the feature cache CSV.
+    """Write samples to the feature cache CSV (format: ``util.csv_text``).
 
-    Layout: comment preamble with the extraction config, then a header row
+    Layout: a preamble with the extraction config, then a header row
     recording_id,label,env,motion,t_e,x_0,...,x_{LB-1} and one row per sample.
-    Fields are CSV-quoted where needed, so recording ids may hold commas or
-    line breaks; a row with a carriage return, which the minimal quoting
-    leaves bare, has every field quoted.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("refusing to write an empty feature cache")
     config = samples[0].feature.config
-    buf = io.StringIO()
-    buf.write(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}\n")
-    buf.write(f"# config_hash: {config.hash}\n")
-    for key, value in (extra_header or {}).items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(_cache_columns(config))
-    for s in samples:
-        if s.feature.config != config:
-            raise ValueError("all samples in one cache must share a config")
-        row = [s.meta.recording_id, s.label, s.meta.environment, s.meta.motion, repr(float(s.meta.t_e))]
-        row += [repr(float(v)) for v in s.feature.flat]
-        (quoted if "\r" in "".join(row[:4]) else writer).writerow(row)
-    write_text(path, buf.getvalue())
+    if any(s.feature.config != config for s in samples):
+        raise ValueError("all samples in one cache must share a config")
+    preamble = {"config": json.dumps(config.to_dict(), sort_keys=True),
+                "config_hash": config.hash, **(extra_header or {})}
+    rows = (
+        [s.meta.recording_id, s.label, s.meta.environment, s.meta.motion, repr(float(s.meta.t_e))]
+        + [repr(float(v)) for v in s.feature.flat]
+        for s in samples
+    )
+    write_text(path, csv_text(preamble, _cache_columns(config), rows))
 
 
 def load_features(path) -> list:
@@ -235,17 +217,9 @@ def load_features(path) -> list:
     The cache checks itself: the ``# config:`` line must parse and match the
     ``# config_hash:`` line, the header must name the config's columns, and
     every row must hold one value per column.  A violation is a ValueError
-    that names the line at fault.  Comment lines are read only before the
-    header, so a recording id may start with ``#``.
+    that names the line at fault.
     """
-    with open(path, newline="") as fh:
-        body = fh.read()
-    preamble, lineno = {}, 0
-    while body.startswith("#"):
-        line, _, body = body.partition("\n")
-        lineno += 1
-        key, _, value = line[1:].partition(":")
-        preamble[key.strip()] = (lineno, value.strip())
+    preamble, rows = read_csv(path)
     if "config" not in preamble or "config_hash" not in preamble:
         raise ValueError(f"{path}: missing config preamble (# config: and # config_hash:)")
     at, text = preamble["config"]
@@ -258,16 +232,12 @@ def load_features(path) -> list:
         raise ValueError(f"{path}:{at}: config_hash {stored} does not match the config ({config.hash})")
 
     cols = _cache_columns(config)
-    reader = csv.reader(io.StringIO(body))
-    rows = filter(None, reader)  # blank lines carry nothing
+    at, header = rows[0]
+    if header != cols:
+        raise ValueError(f"{path}:{at}: expected header {','.join(cols[:6])},...,{cols[-1]}")
     samples = []
-    try:
-        header = next(rows, None)
-        if header is None:
-            raise ValueError("no header row")
-        if header != cols:
-            raise ValueError(f"expected header {','.join(cols[:6])},...,{cols[-1]}")
-        for parts in rows:
+    for at, parts in rows[1:]:
+        try:
             if len(parts) != len(cols):
                 raise ValueError(f"expected {len(cols)} fields, got {len(parts)}")
             rid, label, env, motion, t_e = parts[:5]
@@ -279,6 +249,6 @@ def load_features(path) -> list:
                     meta=SampleMeta(rid, env, motion, float(t_e)),
                 )
             )
-    except (csv.Error, ValueError) as exc:
-        raise ValueError(f"{path}:{lineno + reader.line_num}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
     return samples

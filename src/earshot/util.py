@@ -1,9 +1,12 @@
-"""Small shared helpers: seed derivation, config hashing, atomic writes."""
+"""Small shared helpers: seed derivation, config hashing, atomic writes and
+the CSV artifact format."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import secrets
@@ -55,3 +58,54 @@ def write_text(path, text: str) -> None:
     """Write a text file atomically (see ``atomic_open``)."""
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def csv_text(preamble: dict, header, rows) -> str:
+    """The text of a CSV artifact: ``# key: value`` lines, a header, the rows.
+
+    Fields get the csv module's minimal quoting, so they may hold commas,
+    quotes or line breaks; a row with a carriage return in any field, which
+    minimal quoting leaves bare, has every field quoted.  A field may start
+    with "#", as ``read_csv`` takes comments only before the header.
+    """
+    buf = io.StringIO()
+    for key, value in preamble.items():
+        buf.write(f"# {key}: {value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(header)
+    for row in rows:
+        (quoted if any("\r" in str(f) for f in row) else writer).writerow(row)
+    return buf.getvalue()
+
+
+def read_csv(path):
+    """Read a CSV artifact written by ``csv_text`` into ``(preamble, rows)``.
+
+    ``preamble`` maps the key of each ``# key: value`` line before the header
+    to ``(line, value)``; comment lines are read only there.  ``rows`` holds
+    ``(line, fields)`` for the header and each non-blank row after it, with
+    the line it starts on.  No header, or a row the csv module refuses (a
+    bare carriage return, an over-long field), is a ValueError naming
+    ``path:line``.
+    """
+    with open(path, newline="") as fh:
+        body = fh.read()
+    preamble, lineno = {}, 0
+    while body.startswith("#"):
+        line, _, body = body.partition("\n")
+        lineno += 1
+        key, _, value = line[1:].partition(":")
+        preamble[key.strip()] = (lineno, value.strip())
+    reader = csv.reader(io.StringIO(body))
+    rows, at = [], lineno + 1
+    try:
+        for fields in reader:
+            if fields:
+                rows.append((at, fields))
+            at = lineno + reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{at}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}:{at}: no header row")
+    return preamble, rows

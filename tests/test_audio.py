@@ -1,7 +1,9 @@
 """WAV container round trips, window closed forms, clip and geometry types."""
 
+import json
 import struct
 import tempfile
+import tracemalloc
 import uuid
 import warnings
 from pathlib import Path
@@ -527,3 +529,72 @@ def test_geometry_json_round_trip(tmp_path):
     bad.write_text("{\"positions\": [[0,0,0]]}")
     with pytest.raises(ValueError):
         load_geometry(bad)
+
+
+def _edit_payload(change):
+    def apply(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return apply
+
+
+def _set_position(value):
+    return _edit_payload(lambda p: p["positions"][0].__setitem__(0, value))
+
+
+# One hand edit of a valid geometry file per way it can go wrong, and the
+# text its error must hold.
+GEOMETRY_EDITS = {
+    "truncated": (lambda text: text[: len(text) // 2], "Expecting"),
+    "not-an-object": (lambda text: "[1, 2]", "bad geometry file"),
+    "no-positions": (_edit_payload(lambda p: p.pop("positions")), "lacks the key 'positions'"),
+    "no-speed": (_edit_payload(lambda p: p.pop("speed_of_sound")),
+                 "lacks the key 'speed_of_sound'"),
+    "two-coordinates": (_edit_payload(lambda p: p.update(positions=[r[:2] for r in p["positions"]])),
+                        "(M, 3)"),
+    "ragged": (_edit_payload(lambda p: p["positions"][0].pop()), "bad geometry file"),
+    "string-position": (_set_position("abc"), "could not convert"),
+    "nan-position": (_set_position(float("nan")), "positions must be finite"),
+    "infinite-position": (_set_position(float("inf")), "positions must be finite"),
+    "duplicate-mic": (_edit_payload(lambda p: p["positions"].__setitem__(1, p["positions"][0])),
+                      "distinct"),
+    "nan-speed": (_edit_payload(lambda p: p.update(speed_of_sound=float("nan"))),
+                  "finite and positive"),
+    "zero-speed": (_edit_payload(lambda p: p.update(speed_of_sound=0)), "finite and positive"),
+    "string-speed": (_edit_payload(lambda p: p.update(speed_of_sound="fast")), "could not convert"),
+}
+
+
+def write_edited_geometry(geometry_path, out_path, case):
+    """Copy a geometry file with one of GEOMETRY_EDITS applied; returns the
+    text its error must hold besides the copy's path."""
+    edit, message = GEOMETRY_EDITS[case]
+    out_path.write_text(edit(Path(geometry_path).read_text()))
+    return message
+
+
+@pytest.mark.parametrize("case", sorted(GEOMETRY_EDITS))
+def test_load_geometry_rejects_hand_edited_files(tmp_path, case):
+    good = tmp_path / "good.json"
+    save_geometry(random_planar_array(4, seed=1), good)
+    bad = tmp_path / f"{case}.json"
+    message = write_edited_geometry(good, bad, case)
+    with pytest.raises(ValueError) as exc:
+        load_geometry(bad)
+    assert str(exc.value).startswith(f"{bad}: ") and message in str(exc.value)
+
+
+def test_pcm24_load_peak_stays_near_the_result(tmp_path):
+    """An 8-channel pcm24 load holds the payload, the result and one
+    channel's intermediate at its peak, not a whole-span intermediate."""
+    rng = np.random.default_rng(4)
+    path = tmp_path / "eight.wav"
+    write_wav(AudioClip(rng.uniform(-0.9, 0.9, size=(8, 48000)), 48000), path)
+    tracemalloc.start()
+    try:
+        clip = load_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * clip.samples.nbytes

@@ -15,10 +15,12 @@ from earshot.dataset import RecordingManifest, load_manifest, save_manifest
 from earshot.features import PipelineConfig
 from earshot.stft import band_select, stft
 from earshot.synth import random_planar_array
-from earshot.util import config_hash
+from earshot.util import config_hash, read_csv
 
 from synthref import render_plane_wave
+from test_audio import GEOMETRY_EDITS, write_edited_geometry
 from test_classifier import MODEL_EDITS, write_edited_model
+from test_dataset import MANIFEST_EDITS, write_edited_manifest
 from test_features import CACHE_EDITS, write_edited_cache
 
 
@@ -340,3 +342,67 @@ def test_train_and_eval_exit_4_on_hand_edited_cache(tmp_path, arts, capsys, case
     assert_exit_4(["train", str(bad), "--out", str(tmp_path / "m.json")], capsys, message)
     assert_exit_4(["eval", str(bad), "--out", str(tmp_path / "r.json")], capsys, message)
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_EDITS))
+def test_extract_exits_4_on_hand_edited_manifest(tmp_path, bench_dir, capsys, case):
+    bad = tmp_path / f"{case}.csv"
+    message = write_edited_manifest(bench_dir, bad, case)
+    assert_exit_4(["extract", str(bad), "--out", str(tmp_path / "f.csv")], capsys, message)
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("case", sorted(GEOMETRY_EDITS))
+def test_doa_and_extract_exit_4_on_hand_edited_geometry(tmp_path, front_wav, bench_manifest,
+                                                         capsys, case):
+    """Exit 4 with one `earshot: error:` line that starts with the geometry
+    file's path, no traceback."""
+    wav, gj = front_wav
+    bad = tmp_path / f"{case}.json"
+    message = write_edited_geometry(gj, bad, case)
+    manifest = tmp_path / "manifest.csv"
+    entries = [replace(e, geometry=str(bad)) for e in list(bench_manifest)[:2]]
+    save_manifest(RecordingManifest(entries), manifest)
+    for argv in (["doa", str(wav), str(bad)],
+                 ["extract", str(manifest), "--out", str(tmp_path / "f.csv")]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"earshot: error: {bad}: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_every_cli_csv_reads_back_with_its_provenance(tmp_path, arts, bench_dir,
+                                                      bench_manifest, front_wav, capsys):
+    """Each CSV the CLI writes parses through read_csv, under a preamble whose
+    run_config matches its run_config_hash, with its header and one field
+    per column on every row."""
+    wav, gj = front_wav
+    entry = next(e for e in bench_manifest if e.situation == "right")
+    d = tmp_path
+    assert main(["simulate", "--out", str(d / "sim"), "--per-class", "1", "--mics", "4"]) == 0
+    assert main(["eval", str(arts["features"]), "--out", str(d / "r.json"),
+                 "--csv", str(d / "metrics.csv"), "--folds", "3"]) == 0
+    assert main(["predict", str(entry.wav), str(entry.geometry), "--model", str(arts["model"]),
+                 "--situation", "right", "--t0", repr(entry.t0), "--out", str(d / "w.csv")]) == 0
+    assert main(["doa", str(wav), str(gj), "--out", str(d / "doa.csv")]) == 0
+    assert main(["micstudy", str(bench_dir), "--sizes", "8", "--folds", "3",
+                 "--out", str(d / "mics.csv")]) == 0
+    capsys.readouterr()
+    headers = {
+        arts["features"]: ["recording_id", "label", "env", "motion", "t_e"]
+                          + [f"x_{i}" for i in range(PipelineConfig().feature_dim)],
+        d / "sim" / "manifest.csv": ["wav", "geometry", "situation", "environment", "motion",
+                                     "t0", "tau0"],
+        d / "metrics.csv": ["metric", "value"],
+        d / "w.csv": ["t_e", "p_left", "p_front", "p_right", "p_none", "label_pred",
+                      "label_true_accepted"],
+        d / "doa.csv": ["azimuth_deg", "energy"],
+        d / "mics.csv": ["m", "trials", "best", "mean", "std"],
+    }
+    for path, header in headers.items():
+        preamble, rows = read_csv(path)
+        run_config = json.loads(preamble["run_config"][1])
+        assert preamble["run_config_hash"][1] == config_hash(run_config), path
+        assert rows[0][1] == header, path
+        assert len(rows) > 1 and all(len(fields) == len(header) for _, fields in rows), path

@@ -168,6 +168,119 @@ def test_manifest_rejects_foreign_header(tmp_path):
         load_manifest(path)
 
 
+# ---------------------------------------------------------------------------
+# manifests check themselves on load, as feature caches do
+
+
+def _set_field(index, value):
+    def apply(fields):
+        fields[index] = value
+    return apply
+
+
+def _foreign_header(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("wav,"))
+    lines[i] = "file,label,situation,environment,motion,t0,tau0"
+    return f":{i + 1}: expected header"
+
+
+def _edit_first_row(change, message):
+    """Edit the first data row; the error must name its line."""
+    def apply(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith("wav,")) + 1
+        fields = lines[i].split(",")  # the names of these manifests hold no commas
+        change(fields)
+        lines[i] = ",".join(fields)
+        return f":{i + 1}: {message}"
+    return apply
+
+
+# One hand edit of a valid manifest per way a row can go wrong, and the text
+# its error must hold.
+MANIFEST_EDITS = {
+    "short-row": _edit_first_row(list.pop, "expected 7 fields, got 6"),
+    "long-row": _edit_first_row(lambda f: f.append("0.5"), "expected 7 fields, got 8"),
+    "bad-t0": _edit_first_row(_set_field(5, "abc"), "could not convert string to float: 'abc'"),
+    "nan-t0": _edit_first_row(_set_field(5, "nan"), "t0 and tau0 must be finite"),
+    "infinite-tau0": _edit_first_row(_set_field(6, "inf"), "t0 and tau0 must be finite"),
+    "situation": _edit_first_row(_set_field(2, "up"), "situation must be left/right/none"),
+    # the open quote swallows the rest of the file into one field
+    "unterminated-quote": _edit_first_row(lambda f: f.__setitem__(0, '"' + f[0]),
+                                          "expected 7 fields, got 1"),
+    "huge-field": _edit_first_row(_set_field(0, "x" * 140_000 + ".wav"), "field larger than"),
+    "foreign-header": _foreign_header,
+}
+
+
+def write_edited_manifest(manifest_path, out_path, case):
+    """Copy a manifest with one of MANIFEST_EDITS applied, its names made
+    absolute so the copy may live elsewhere; returns the text its error must
+    hold, the copy's path included."""
+    save_manifest(load_manifest(manifest_path), out_path, preamble={"seed": 202})
+    lines = out_path.read_text().splitlines()
+    message = MANIFEST_EDITS[case](lines)
+    out_path.write_text("\n".join(lines) + "\n")
+    return f"{out_path}{message}"
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_EDITS))
+def test_load_manifest_rejects_hand_edited_manifests(tmp_path, bench_dir, case):
+    bad = tmp_path / f"{case}.csv"
+    message = write_edited_manifest(bench_dir, bad, case)
+    with pytest.raises(ValueError) as exc:
+        load_manifest(bad)
+    assert message in str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def manifest_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.csv"
+    save_manifest(RecordingManifest([
+        entry("left", t0=4.25, wav="a.wav"),
+        entry("right", motion="dynamic", t0=None, tau0=3.5, wav='take "2", left.wav'),
+        ManifestEntry(wav="#c.wav", geometry="g.json", situation="none", environment="B"),
+    ]), path, preamble={"seed": 3, "run_config_hash": "0123456789ab"})
+    return path
+
+
+_line_edits = st.sampled_from(["drop", "duplicate", "truncate", "insert", "replace", "swap"])
+# Any text, with the characters that CSV and the preamble give a meaning drawn often.
+_csv_chars = st.one_of(st.sampled_from(',"\r\n#:'), st.characters(exclude_categories=("Cs",)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), action=_line_edits)
+def test_manifest_fuzz_loads_or_raises_value_error(tmp_path_factory, manifest_file, data, action):
+    """Any one line edit of a valid manifest either loads into valid entries
+    or raises ValueError (exit 4); never csv.Error, IndexError or TypeError."""
+    lines = manifest_file.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    line = lines[i]
+    cut = data.draw(st.integers(0, len(line)), label="cut")
+    text = data.draw(st.text(_csv_chars, max_size=8), label="text")
+    if action == "drop":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, line)
+    elif action == "truncate":
+        lines[i] = line[:cut]
+    elif action == "insert":
+        lines[i] = line[:cut] + text + line[cut:]
+    elif action == "replace":
+        lines[i] = text
+    else:
+        j = data.draw(st.integers(0, len(lines) - 1), label="other")
+        lines[i], lines[j] = lines[j], line
+    path = tmp_path_factory.mktemp("fuzz") / "manifest.csv"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        manifest = load_manifest(path, check_files=False)
+    except ValueError:
+        return
+    for e in manifest:
+        assert isinstance(e, ManifestEntry) and e.situation in ("left", "right", "none")
+
+
 def test_extract_window_bounds(tmp_path):
     geom = random_planar_array(3, seed=1)
     clip = AudioClip(np.random.default_rng(0).standard_normal((3, 48000 * 3)), 48000)

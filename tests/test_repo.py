@@ -1,5 +1,6 @@
-"""Repository hygiene checks that need a git work tree."""
+"""Repository hygiene checks: git leftovers and the package's module layout."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -23,3 +24,21 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_only_util_reads_and_writes_csv():
+    """The CSV artifact format lives in util.py (csv_text and read_csv): no
+    other module imports csv or io, so no second private codec grows back."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "earshot").glob("*.py")):
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in ("csv", "io")]
+    assert offenders == []
