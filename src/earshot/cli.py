@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import __version__
 from ._backend import BACKEND
-from .audio import WavError, load_geometry, load_wav
+from .audio import WavError, load_geometry, load_wav, wav_frames
 from .classifier import load_model, save_model, train
 from .dataset import ManifestEntry, extract_manifest, load_manifest
 from .evaluate import (
@@ -143,7 +143,8 @@ def _require_config_match(stored: dict, run: dict, source: str) -> None:
 
 def cmd_doa(args, run: dict) -> int:
     cfg = _pipeline(run)
-    clip = load_wav(args.wav)
+    sample_rate, n_frames = wav_frames(args.wav)
+    clip = load_wav(args.wav, max(n_frames - round(cfg.sample_len * sample_rate), 0), n_frames)
     geometry = load_geometry(args.geometry)
     # One segment over the whole trailing window: the map of every frame.
     energies = extract_feature(clip, geometry, replace(cfg, segments=1)).matrix[0]
@@ -251,10 +252,8 @@ def cmd_micstudy(args, run: dict) -> int:
         raise UsageError(f"--sizes must be comma-separated integers: {exc}") from exc
     if not sizes:
         raise UsageError("--sizes must name at least one subset size")
-    manifest = load_manifest(args.manifest)
-    recordings = [(load_wav(e.wav), load_geometry(e.geometry), e) for e in manifest]
     rows = mic_subset_study(
-        recordings, cfg, sizes, trials=args.trials, seed=run["seed"],
+        load_manifest(args.manifest), cfg, sizes, trials=args.trials, seed=run["seed"],
         k=run["folds"], lam=run["lambda"], augment=run["augment"],
     )
     _emit(mic_study_to_csv(rows, preamble=_provenance(run)), args.out)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import load_geometry, load_wav, wav_frames
+from .audio import AudioClip, load_geometry, load_wav, wav_frames
 from .features import LabeledSample, PipelineConfig, SampleMeta, extract_feature
 from .util import csv_text, read_csv, write_text
 
@@ -140,42 +140,34 @@ def _windows(entry: ManifestEntry, sample_rate: int, n_frames: int, config: Pipe
     return windows
 
 
-def _labeled_samples(clip, first: int, windows, geometry, entry, config) -> list:
-    """Features of the windows, sliced from a clip that starts at frame ``first``."""
-    samples = []
-    for label, t_e, start, stop in windows:
-        window = clip.samples[:, start - first : stop - first]
-        feature = extract_feature(type(clip)(window, clip.sample_rate), geometry, config)
-        samples.append(
-            LabeledSample(
-                feature=feature,
-                label=label,
-                meta=SampleMeta(
-                    recording_id=entry.recording_id,
-                    environment=entry.environment,
-                    motion=entry.motion,
-                    t_e=t_e,
-                ),
-            )
-        )
-    return samples
-
-
-def extract_samples_from_clip(clip, geometry, entry: ManifestEntry, config: PipelineConfig) -> list:
-    """Labeled samples from an already-loaded recording."""
-    windows = _windows(entry, clip.sample_rate, clip.n_samples, config)
-    return _labeled_samples(clip, 0, windows, geometry, entry, config)
-
-
-def extract_samples(entry: ManifestEntry, config: PipelineConfig) -> list:
+def extract_samples(entry: ManifestEntry, config: PipelineConfig, channels=None) -> list:
     """Labeled samples of a manifest entry, reading from disk only the span of
-    frames that its windows cover."""
+    frames that its windows cover.
+
+    ``channels`` keeps only those microphones, in the given order, of both
+    the recording and its geometry; None keeps them all.  A recording whose
+    channel count is not the geometry's microphone count, or a channel the
+    recording lacks, is a ValueError that names the files.
+    """
     sample_rate, n_frames = wav_frames(entry.wav)
     windows = _windows(entry, sample_rate, n_frames, config)
     first = min(start for _, _, start, _ in windows)
     clip = load_wav(entry.wav, first, max(stop for *_, stop in windows))
     geometry = load_geometry(entry.geometry)
-    return _labeled_samples(clip, first, windows, geometry, entry, config)
+    if clip.channels != geometry.n_mics:
+        raise ValueError(f"{entry.wav} has {clip.channels} channels but "
+                         f"{entry.geometry} has {geometry.n_mics} microphones")
+    if channels is not None:
+        if not all(0 <= c < clip.channels for c in channels):
+            raise ValueError(f"{entry.wav}: channels {list(channels)} outside its "
+                             f"{clip.channels} channels")
+        clip, geometry = clip.channel_subset(channels), geometry.subset(channels)
+    samples = []
+    for label, t_e, start, stop in windows:
+        window = AudioClip(clip.samples[:, start - first : stop - first], sample_rate)
+        meta = SampleMeta(entry.recording_id, entry.environment, entry.motion, t_e)
+        samples.append(LabeledSample(extract_feature(window, geometry, config), label, meta))
+    return samples
 
 
 def _usable_cores() -> int:
@@ -186,8 +178,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def extract_manifest(manifest, config: PipelineConfig) -> list:
-    """Labeled samples of every manifest entry, in manifest order.
+def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:
+    """Labeled samples of every manifest entry, in manifest order, from the
+    given ``channels`` of each (see ``extract_samples``).
 
     min(usable cores, recordings) threads extract at once: the calling thread
     and one new thread per further core each take the next unclaimed entry
@@ -212,7 +205,7 @@ def extract_manifest(manifest, config: PipelineConfig) -> list:
     def work():
         while (index := claim()) is not None:
             try:
-                results[index] = extract_samples(entries[index], config)
+                results[index] = extract_samples(entries[index], config, channels)
             except Exception as exc:  # re-raised by the calling thread
                 with lock:
                     errors[index] = exc

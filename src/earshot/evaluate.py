@@ -19,7 +19,7 @@ import numpy as np
 from .audio import AudioClip, load_geometry, load_wav
 from .beamform import DoaResponse
 from .classifier import CLASS_ORDER, doa_baseline, predict, train
-from .dataset import FRONT_OFFSET, ManifestEntry, extract_samples_from_clip, stratified_folds
+from .dataset import FRONT_OFFSET, ManifestEntry, extract_manifest, stratified_folds
 from .features import PipelineConfig, augment_training_set, extract_feature
 from .util import csv_text, derive_seed
 
@@ -308,20 +308,21 @@ def window_scores_to_csv(scores, preamble: dict | None = None) -> str:
     return csv_text(preamble or {}, header, rows)
 
 
-def mic_subset_study(recordings, config: PipelineConfig, subset_sizes, trials: int = 5,
+def mic_subset_study(manifest, config: PipelineConfig, subset_sizes, trials: int = 5,
                      seed: int = 0, k: int = 5, lam: float = 1.0, augment: bool = True) -> list:
     """Cross-validation accuracy as a function of microphone count.
 
-    recordings: list of (clip, geometry, entry) triples, already loaded.  For
-    each subset size m, draws ``trials`` random m-subsets of the microphones
-    (sorted, so the full-array subset is the identity), re-extracts features
-    and runs the usual cross-validation.  Returns one row per m with the best,
-    mean and standard deviation of the trial accuracies.
+    For each subset size m, draws ``trials`` random m-subsets of the first
+    manifest entry's microphones (sorted, so the full-array subset is the
+    identity), re-extracts every entry's features from those channels through
+    ``extract_manifest`` and runs the usual cross-validation.  Returns one
+    row per m with the best, mean and standard deviation of the trial
+    accuracies.
     """
-    recordings = list(recordings)
-    if not recordings:
+    entries = list(manifest)
+    if not entries:
         raise ValueError("no recordings given")
-    n_mics = recordings[0][1].n_mics
+    n_mics = load_geometry(entries[0].geometry).n_mics
     rows = []
     for m in subset_sizes:
         if not 2 <= m <= n_mics:
@@ -331,11 +332,7 @@ def mic_subset_study(recordings, config: PipelineConfig, subset_sizes, trials: i
         accuracies = []
         for trial in range(n_trials):
             chosen = np.sort(rng.choice(n_mics, size=m, replace=False))
-            samples = []
-            for clip, geometry, entry in recordings:
-                sub_clip = clip.channel_subset(chosen)
-                sub_geom = geometry.subset(chosen)
-                samples.extend(extract_samples_from_clip(sub_clip, sub_geom, entry, config))
+            samples = extract_manifest(entries, config, chosen)
             report = cross_validate(samples, k=k, lam=lam,
                                     seed=derive_seed(seed, f"micstudy-cv-m{m}-t{trial}"),
                                     augment=augment)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import ArrayGeometry, AudioClip
 from .beamform import AzimuthGrid, srp_phat
-from .stft import StftStack, stft
+from .stft import stft
 from .util import config_hash, csv_text, read_csv, write_text
 
 LABELS = ("left", "front", "right", "none")
@@ -134,7 +134,7 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
     the full spectrum of all channels is ever held at once.
     """
     window = clip.trailing(config.sample_len)
-    if config.sample_len * clip.sample_rate / config.segments < config.frame_len:
+    if window.n_samples / config.segments < config.frame_len:
         raise ValueError(
             "window too short for the segment count: "
             f"{config.sample_len} s / {config.segments} segments cannot fit a "
@@ -151,19 +151,9 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
     for seg in range(config.segments):
         start = seg * base
         stop = (seg + 1) * base if seg < config.segments - 1 else n_frames
-        segment = _frame_slice(stack, start, stop)
+        segment = replace(stack, data=stack.data[:, start:stop, :])
         rows.append(srp_phat(segment, geometry, grid).energies)
     return DoaFeature(np.stack(rows), config)
-
-
-def _frame_slice(stack: StftStack, start: int, stop: int) -> StftStack:
-    return StftStack(
-        data=stack.data[:, start:stop, :],
-        sample_rate=stack.sample_rate,
-        frame_len=stack.frame_len,
-        hop=stack.hop,
-        bin_indices=stack.bin_indices,
-    )
 
 
 def mirror(sample: LabeledSample) -> LabeledSample:

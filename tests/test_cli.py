@@ -297,6 +297,68 @@ def test_micstudy_csv_and_size_validation(tmp_path, bench_dir, capsys):
     capsys.readouterr()
 
 
+def test_micstudy_reads_only_the_spans_extract_reads(tmp_path, bench_dir, bench_manifest,
+                                                     monkeypatch, capsys):
+    """Every WAV read of `micstudy` is the span `extract` reads for that
+    recording, once per trial; no file is read whole."""
+    from earshot import cli, dataset, evaluate
+
+    reads = []
+
+    def spy(path, start=0, stop=None):
+        reads.append((str(path), start, stop))
+        return load_wav(path, start, stop)
+
+    for module in (cli, dataset, evaluate):
+        monkeypatch.setattr(module, "load_wav", spy)
+    assert main(["extract", bench_dir, "--out", str(tmp_path / "f.csv")]) == 0
+    spans = sorted(reads)
+    assert len(spans) == len(bench_manifest)
+    reads.clear()
+    assert main(["micstudy", bench_dir, "--sizes", "2,8", "--trials", "2", "--folds", "3",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert sorted(reads) == sorted(spans * 3)  # two trials of m=2, one of m=8
+    for path, start, stop in spans:
+        assert stop is not None and stop - start < load_wav(path).n_samples
+    capsys.readouterr()
+
+
+def test_doa_reads_only_its_window(tmp_path, front_wav, monkeypatch, capsys):
+    from earshot import cli
+
+    wav, gj = front_wav
+    reads = []
+
+    def spy(path, start=0, stop=None):
+        reads.append((start, stop))
+        return load_wav(path, start, stop)
+
+    monkeypatch.setattr(cli, "load_wav", spy)
+    assert main(["doa", str(wav), str(gj), "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["doa", str(wav), str(gj), "--window", "0.5", "--out", str(tmp_path / "b.csv")]) == 0
+    assert reads == [(57600 - 48000, 57600), (57600 - 24000, 57600)]  # a 1.2 s clip at 48 kHz
+    reads.clear()
+    assert_exit_4(["doa", str(wav), str(gj), "--window", "30"], capsys,
+                  "cannot take trailing 30.0 s from a 1.200 s clip")
+    assert reads == [(0, 57600)]
+
+
+def test_extract_and_micstudy_name_both_files_on_a_mic_count_mismatch(tmp_path, bench_manifest,
+                                                                      capsys):
+    """A row whose geometry holds 4 microphones for an 8-channel WAV: exit 4
+    with one `earshot: error:` line naming the WAV and the geometry."""
+    four = tmp_path / "four.json"
+    save_geometry(random_planar_array(4, seed=2), four)
+    entries = list(bench_manifest)
+    entries[3] = replace(entries[3], geometry=str(four))
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(RecordingManifest(entries), manifest)
+    message = f"{entries[3].wav} has 8 channels but {four} has 4 microphones"
+    assert_exit_4(["extract", str(manifest), "--out", str(tmp_path / "f.csv")], capsys, message)
+    assert_exit_4(["micstudy", str(manifest), "--sizes", "2,4", "--folds", "3"], capsys, message)
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize("flags,cfg", [
     ([], PipelineConfig()),
     (["--segments", "3"], PipelineConfig(segments=3)),

@@ -16,7 +16,6 @@ from earshot.dataset import (
     RecordingManifest,
     extract_manifest,
     extract_samples,
-    extract_samples_from_clip,
     extraction_times,
     load_manifest,
     save_manifest,
@@ -283,13 +282,20 @@ def test_manifest_fuzz_loads_or_raises_value_error(tmp_path_factory, manifest_fi
 
 def test_extract_window_bounds(tmp_path):
     geom = random_planar_array(3, seed=1)
-    clip = AudioClip(np.random.default_rng(0).standard_normal((3, 48000 * 3)), 48000)
+    clip = AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, (3, 48000 * 3)), 48000)
+    write_wav(clip, tmp_path / "r.wav")
+    save_geometry(geom, tmp_path / "g.json")
     cfg = PipelineConfig()
+
+    def at(t0):
+        return dataclasses.replace(entry("right", t0=t0), wav=str(tmp_path / "r.wav"),
+                                   geometry=str(tmp_path / "g.json"))
+
     with pytest.raises(ValueError, match="outside"):
         # front sample at t0 + 1.5 = 3.5 s exceeds the 3 s clip
-        extract_samples_from_clip(clip, geom, entry("right", t0=2.0), cfg)
+        extract_samples(at(2.0), cfg)
     with pytest.raises(ValueError, match="outside"):
-        extract_samples_from_clip(clip, geom, entry("right", t0=0.5), cfg)
+        extract_samples(at(0.5), cfg)
 
 
 def test_extract_samples_from_benchmark(bench_manifest, default_config):
@@ -306,11 +312,13 @@ def test_extract_samples_from_benchmark(bench_manifest, default_config):
     assert [s.label for s in only] == ["none"]
 
 
-def _extract_whole_file(entry, config):
+def _extract_whole_file(entry, config, channels=None):
     """extract_samples as it was before ranged reads: decode the whole file,
-    then slice each window from it."""
+    keep the given channels, then slice each window from it."""
     clip = load_wav(entry.wav)
     geometry = load_geometry(entry.geometry)
+    if channels is not None:
+        clip, geometry = clip.channel_subset(channels), geometry.subset(channels)
     samples = []
     for label, t_e in extraction_times(entry, clip.duration):
         end = int(round(t_e * clip.sample_rate))
@@ -355,8 +363,6 @@ def test_ranged_extract_equals_the_whole_file_path(bench_manifest, bench_b_dir, 
         for e in _variants(base, sample_rate, n_frames):
             want = _extract_whole_file(e, default_config)
             _same_samples(extract_samples(e, default_config), want)
-            _same_samples(extract_samples_from_clip(load_wav(e.wav), load_geometry(e.geometry),
-                                                    e, default_config), want)
             last_frame_windows += int(round(want[-1][1] * sample_rate)) == n_frames
     assert last_frame_windows == sum(e.situation != "none" for e in entries)
 
@@ -378,6 +384,31 @@ def test_extract_reads_only_the_covered_span(bench_manifest, default_config, mon
         extract_samples(e, default_config)
         assert reads == [(min(ends) - length, max(ends))]
         assert max(ends) - min(ends) + length < n_frames / 2
+
+
+def test_channel_subset_extract_equals_the_whole_file_path(bench_manifest, bench_b_dir,
+                                                           default_config):
+    """``channels`` keeps those microphones, in the given order, of the ranged
+    span and of the geometry: the whole-file path on the same subset, bit for
+    bit, on env A and B."""
+    for e in list(bench_manifest) + list(load_manifest(bench_b_dir)):
+        want = _extract_whole_file(e, default_config, [5, 0, 3])
+        _same_samples(extract_samples(e, default_config, [5, 0, 3]), want)
+
+
+def test_extract_names_the_files_when_channels_do_not_fit(tmp_path, bench_manifest,
+                                                        default_config):
+    e = next(iter(bench_manifest))
+    with pytest.raises(ValueError) as got:
+        extract_samples(e, default_config, [0, 8])
+    assert str(got.value) == f"{e.wav}: channels [0, 8] outside its 8 channels"
+    with pytest.raises(ValueError, match="outside its 8 channels"):
+        extract_samples(e, default_config, [-1])
+    four = tmp_path / "four.json"
+    save_geometry(random_planar_array(4, seed=2), four)
+    with pytest.raises(ValueError) as got:
+        extract_samples(dataclasses.replace(e, geometry=str(four)), default_config)
+    assert str(got.value) == f"{e.wav} has 8 channels but {four} has 4 microphones"
 
 
 def test_ranged_extract_keeps_the_bounds_check(bench_manifest, default_config):
@@ -416,14 +447,14 @@ def test_parallel_extract_bytes_equal_the_serial_loop(
     barrier = threading.Barrier(n_threads)
     lock, seen = threading.Lock(), set()
 
-    def spy(e, config):
+    def spy(e, config, channels=None):
         name = threading.current_thread().name
         with lock:
             first = name not in seen
             seen.add(name)
         if first:  # hold each thread's first entry until every thread has one
             barrier.wait(timeout=60)
-        return extract_samples(e, config)
+        return extract_samples(e, config, channels)
 
     monkeypatch.setattr(dataset, "extract_samples", spy)
     argv = ["extract", bench_dir, "--out", str(tmp_path / "got.csv")]
@@ -455,10 +486,10 @@ def test_parallel_extract_names_the_first_bad_recording(
     save_manifest(RecordingManifest(entries), manifest)
     monkeypatch.setattr(dataset, "_usable_cores", lambda: workers)
 
-    def slow_first_failure(e, config):
+    def slow_first_failure(e, config, channels=None):
         if e.recording_id == entries[first].recording_id:
             time.sleep(0.2)  # let the later bad recording fail first
-        return extract_samples(e, config)
+        return extract_samples(e, config, channels)
 
     monkeypatch.setattr(dataset, "extract_samples", slow_first_failure)
     assert cli.main(["extract", str(manifest), "--out", str(tmp_path / "f.csv")]) == 4

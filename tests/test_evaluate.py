@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from earshot import dataset
+from earshot.audio import AudioClip, load_geometry, load_wav
 from earshot.classifier import train
-from earshot.dataset import load_manifest
+from earshot.dataset import extraction_times, load_manifest
 from earshot.evaluate import (
     ConfusionMatrix,
     FoldResult,
@@ -30,6 +32,7 @@ from earshot.features import (
     PipelineConfig,
     SampleMeta,
     augment_training_set,
+    extract_feature,
     mirror,
 )
 from earshot.util import derive_seed
@@ -317,12 +320,7 @@ def test_window_scores_csv(bench_manifest, bench_model, default_config):
 def test_mic_subset_full_array_matches_plain_cv(
     bench_manifest, bench_flat, default_config
 ):
-    from earshot.audio import load_geometry, load_wav
-
-    recordings = [
-        (load_wav(e.wav), load_geometry(e.geometry), e) for e in bench_manifest
-    ]
-    rows = mic_subset_study(recordings, default_config, [8], trials=3, seed=5, k=3)
+    rows = mic_subset_study(bench_manifest, default_config, [8], trials=3, seed=5, k=3)
     assert rows[0]["m"] == 8
     assert rows[0]["trials"] == 1  # full array has only one subset
     from earshot.util import derive_seed
@@ -333,24 +331,19 @@ def test_mic_subset_full_array_matches_plain_cv(
     assert rows[0]["mean"] == direct.accuracy
     assert rows[0]["best"] == rows[0]["mean"]
 
-    again = mic_subset_study(recordings, default_config, [8], trials=3, seed=5, k=3)
+    again = mic_subset_study(bench_manifest, default_config, [8], trials=3, seed=5, k=3)
     assert again == rows
 
     with pytest.raises(ValueError):
-        mic_subset_study(recordings, default_config, [1], k=3)
+        mic_subset_study(bench_manifest, default_config, [1], k=3)
     with pytest.raises(ValueError):
-        mic_subset_study(recordings, default_config, [9], k=3)
+        mic_subset_study(bench_manifest, default_config, [9], k=3)
     with pytest.raises(ValueError):
         mic_subset_study([], default_config, [4], k=3)
 
 
 def test_mic_subset_smaller_arrays_and_csv(bench_manifest, default_config):
-    from earshot.audio import load_geometry, load_wav
-
-    recordings = [
-        (load_wav(e.wav), load_geometry(e.geometry), e) for e in bench_manifest
-    ]
-    rows = mic_subset_study(recordings, default_config, [2, 4], trials=2, seed=1, k=3)
+    rows = mic_subset_study(bench_manifest, default_config, [2, 4], trials=2, seed=1, k=3)
     assert [r["m"] for r in rows] == [2, 4]
     assert all(r["trials"] == 2 for r in rows)
     assert all(len(r["accuracies"]) == 2 for r in rows)
@@ -359,3 +352,51 @@ def test_mic_subset_smaller_arrays_and_csv(bench_manifest, default_config):
     assert lines[0] == "# seed: 1"
     assert lines[1] == "m,trials,best,mean,std"
     assert len(lines) == 4
+
+
+def _mic_subset_reference(manifest, config, subset_sizes, trials, seed, k):
+    """mic_subset_study as it was before it read through extract_manifest:
+    every recording decoded whole and held, each subset sliced from it."""
+    recordings = [(load_wav(e.wav), load_geometry(e.geometry), e) for e in manifest]
+    n_mics = recordings[0][1].n_mics
+    rows = []
+    for m in subset_sizes:
+        rng = np.random.default_rng(derive_seed(seed, f"micstudy-m{m}"))
+        n_trials = 1 if m == n_mics else trials
+        accuracies = []
+        for trial in range(n_trials):
+            chosen = np.sort(rng.choice(n_mics, size=m, replace=False))
+            samples = []
+            for clip, geometry, entry in recordings:
+                sub_clip, sub_geom = clip.channel_subset(chosen), geometry.subset(chosen)
+                length = int(round(config.sample_len * clip.sample_rate))
+                for label, t_e in extraction_times(entry, clip.duration):
+                    end = int(round(t_e * clip.sample_rate))
+                    window = AudioClip(sub_clip.samples[:, end - length : end], clip.sample_rate)
+                    meta = SampleMeta(entry.recording_id, entry.environment, entry.motion, t_e)
+                    samples.append(
+                        LabeledSample(extract_feature(window, sub_geom, config), label, meta))
+            report = cross_validate(samples, k=k,
+                                    seed=derive_seed(seed, f"micstudy-cv-m{m}-t{trial}"))
+            accuracies.append(report.accuracy)
+        acc = np.array(accuracies)
+        rows.append({"m": int(m), "trials": int(n_trials), "best": float(acc.max()),
+                     "mean": float(acc.mean()), "std": float(acc.std()),
+                     "accuracies": [float(a) for a in acc]})
+    return rows
+
+
+@pytest.fixture(scope="module")
+def mic_reference_rows(bench_manifest, default_config):
+    return _mic_subset_reference(bench_manifest, default_config, [2, 4, 8], trials=2,
+                                 seed=3, k=3)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_mic_subset_study_equals_the_whole_clip_loop(bench_manifest, default_config,
+                                                     mic_reference_rows, cores, monkeypatch):
+    """Re-extracting each trial through extract_manifest's pool gives the rows
+    of the old whole-clip loop exactly, on one thread or three."""
+    monkeypatch.setattr(dataset, "_usable_cores", lambda: cores)
+    rows = mic_subset_study(bench_manifest, default_config, [2, 4, 8], trials=2, seed=3, k=3)
+    assert rows == mic_reference_rows

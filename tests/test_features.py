@@ -230,6 +230,17 @@ def test_window_too_short_for_segments():
         extract_feature(wave_clip(0.0), GEOM, cfg)
 
 
+def test_segment_check_counts_the_samples_analysed():
+    """0.08533 s and 0.08534 s both round to 4096 samples at 48 kHz, three
+    frames for two segments: the same feature, and neither is too short."""
+    clip = wave_clip(30.0, seed=2)
+    short, long_ = (extract_feature(clip, GEOM, PipelineConfig(sample_len=t)).matrix
+                    for t in (0.08533, 0.08534))
+    assert short.tobytes() == long_.tobytes()
+    with pytest.raises(ValueError, match="window too short"):
+        extract_feature(clip, GEOM, PipelineConfig(sample_len=0.0853))  # 4094 samples
+
+
 def test_features_of_a_window_view_match_a_contiguous_copy():
     """Windows are views of the recording: strided rows give the same feature
     bytes as a contiguous copy, and analysis leaves the recording unchanged."""
