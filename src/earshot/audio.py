@@ -46,6 +46,7 @@ _SUBTYPE_TAIL = bytes.fromhex("0000" "0000" "1000" "800000aa00389b71")
 # A 4-byte item whose one field is its first three bytes: viewing <i4 samples
 # through it selects the little-endian 24-bit payload in a single copy.
 _LOW3 = np.dtype({"names": ["low3"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
+_WRITE_FRAMES = 1 << 14  # frames that write_wav encodes at once
 
 
 @dataclass
@@ -154,6 +155,14 @@ def load_geometry(path) -> ArrayGeometry:
         raise ValueError(f"{path}: geometry file lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:  # undecodable or non-JSON text included
         raise ValueError(f"{path}: bad geometry file: {exc}") from None
+
+
+def check_mic_count(clip: AudioClip, geometry: ArrayGeometry, wav_path, geometry_path) -> None:
+    """A clip whose channel count is not the geometry's microphone count is a
+    ValueError that names both files."""
+    if clip.channels != geometry.n_mics:
+        raise ValueError(f"{wav_path} has {clip.channels} channels but "
+                         f"{geometry_path} has {geometry.n_mics} microphones")
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -326,12 +335,26 @@ def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
     return AudioClip(samples, sample_rate)
 
 
+def _encode(samples: np.ndarray, encoding: str) -> bytes:
+    """The interleaved little-endian payload of (channels, frames) samples."""
+    if encoding == "pcm24":
+        # One C-ordered (frames, channels) buffer, scaled, rounded half to
+        # even and clipped in place, then cast once; the low three bytes of
+        # each <i4 are the little-endian 24-bit sample.
+        scaled = np.multiply(samples.T, 8388608.0, order="C")
+        np.rint(scaled, out=scaled)
+        np.clip(scaled, -8388608, 8388607, out=scaled)
+        return scaled.astype("<i4").view(_LOW3)["low3"].tobytes()
+    return np.ascontiguousarray(samples.T, dtype="<f4").tobytes()
+
+
 def write_wav(clip: AudioClip, path, encoding: str = "pcm24") -> None:
     """Write an AudioClip as little-endian WAV, atomically.
 
     encoding is "pcm24" or "float32".  Samples outside [-1, 1], and NaN or
     infinite samples, are rejected rather than clipped, so quantization is the
-    only loss.
+    only loss.  The payload is encoded and written _WRITE_FRAMES frames at a
+    time, so no copy of the whole clip is made.
     """
     if encoding not in ("pcm24", "float32"):
         raise UnsupportedEncodingError(f"unknown encoding {encoding!r}")
@@ -342,31 +365,21 @@ def write_wav(clip: AudioClip, path, encoding: str = "pcm24") -> None:
             f"samples must be finite and within [-1, 1] (peak {peak:.6f}); refusing to clip"
         )
 
-    if encoding == "pcm24":
-        # One C-ordered (frames, channels) buffer, scaled, rounded half to
-        # even and clipped in place, then cast once; the low three bytes of
-        # each <i4 are the little-endian 24-bit sample.
-        scaled = np.multiply(samples.T, 8388608.0, order="C")
-        np.rint(scaled, out=scaled)
-        np.clip(scaled, -8388608, 8388607, out=scaled)
-        payload = scaled.astype("<i4").view(_LOW3)["low3"].tobytes()
-        audio_format, bits = _PCM, 24
-    else:
-        payload = np.ascontiguousarray(samples.T, dtype="<f4").tobytes()
-        audio_format, bits = _IEEE_FLOAT, 32
-
+    audio_format, bits = (_PCM, 24) if encoding == "pcm24" else (_IEEE_FLOAT, 32)
     n_channels = clip.channels
     block_align = n_channels * bits // 8
     byte_rate = clip.sample_rate * block_align
     fmt = struct.pack(
         "<HHIIHH", audio_format, n_channels, clip.sample_rate, byte_rate, block_align, bits
     )
-    pad = b"\x00" if len(payload) % 2 else b""
-    riff_size = 4 + 8 + len(fmt) + 8 + len(payload) + len(pad)
+    size = clip.n_samples * block_align
+    pad = b"\x00" if size % 2 else b""
+    riff_size = 4 + 8 + len(fmt) + 8 + size + len(pad)
     with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
         fh.write(struct.pack("<4sI", b"fmt ", len(fmt)))
         fh.write(fmt)
-        fh.write(struct.pack("<4sI", b"data", len(payload)))
-        fh.write(payload)
+        fh.write(struct.pack("<4sI", b"data", size))
+        for start in range(0, clip.n_samples, _WRITE_FRAMES):
+            fh.write(_encode(samples[:, start : start + _WRITE_FRAMES], encoding))
         fh.write(pad)

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from . import __version__
 from ._backend import BACKEND
-from .audio import WavError, load_geometry, load_wav, wav_frames
+from .audio import WavError, check_mic_count, load_geometry, load_wav, wav_frames
 from .classifier import load_model, save_model, train
 from .dataset import ManifestEntry, extract_manifest, load_manifest
 from .evaluate import (
@@ -146,6 +146,7 @@ def cmd_doa(args, run: dict) -> int:
     sample_rate, n_frames = wav_frames(args.wav)
     clip = load_wav(args.wav, max(n_frames - round(cfg.sample_len * sample_rate), 0), n_frames)
     geometry = load_geometry(args.geometry)
+    check_mic_count(clip, geometry, args.wav, args.geometry)
     # One segment over the whole trailing window: the map of every frame.
     energies = extract_feature(clip, geometry, replace(cfg, segments=1)).matrix[0]
     rows = ([repr(float(c)), repr(float(e))] for c, e in zip(cfg.grid.bin_centers, energies))
@@ -184,6 +185,7 @@ def cmd_predict(args, run: dict) -> int:
     _require_config_match(model.config, run, args.model)
     clip = load_wav(args.wav)
     geometry = load_geometry(args.geometry)
+    check_mic_count(clip, geometry, args.wav, args.geometry)
     if args.situation in ("left", "right") and args.t0 is None:
         raise UsageError(f"--situation {args.situation} needs --t0 for scoring")
     entry = None

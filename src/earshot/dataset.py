@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, load_geometry, load_wav, wav_frames
+from .audio import AudioClip, check_mic_count, load_geometry, load_wav, wav_frames
 from .features import LabeledSample, PipelineConfig, SampleMeta, extract_feature
 from .util import csv_text, read_csv, write_text
 
@@ -154,9 +154,7 @@ def extract_samples(entry: ManifestEntry, config: PipelineConfig, channels=None)
     first = min(start for _, _, start, _ in windows)
     clip = load_wav(entry.wav, first, max(stop for *_, stop in windows))
     geometry = load_geometry(entry.geometry)
-    if clip.channels != geometry.n_mics:
-        raise ValueError(f"{entry.wav} has {clip.channels} channels but "
-                         f"{entry.geometry} has {geometry.n_mics} microphones")
+    check_mic_count(clip, geometry, entry.wav, entry.geometry)
     if channels is not None:
         if not all(0 <= c < clip.channels for c in channels):
             raise ValueError(f"{entry.wav}: channels {list(channels)} outside its "
@@ -178,25 +176,25 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:
-    """Labeled samples of every manifest entry, in manifest order, from the
-    given ``channels`` of each (see ``extract_samples``).
+def parallel_map(task, count: int, name: str) -> list:
+    """[task(0), ..., task(count - 1)], computed on min(usable cores, count)
+    threads.
 
-    min(usable cores, recordings) threads extract at once: the calling thread
-    and one new thread per further core each take the next unclaimed entry
-    until none is left.  WAV reads, FFTs and array arithmetic release the
-    interpreter lock, so the threads share the cores.  Every entry goes
-    through ``extract_samples`` alone, so the samples do not depend on the
-    number of threads.  When entries fail, no entry is claimed after the
-    failure, the threads are joined, and the error of the first failing entry
-    in manifest order is raised, as a serial loop would raise it.
+    The calling thread and one new thread per further core (named
+    ``name-1``, ``name-2``, ...) each take the next unclaimed index until
+    none is left.  WAV I/O, FFTs and array arithmetic release the interpreter
+    lock, so the threads share the cores.  A task whose result depends on its
+    index alone gives results that do not depend on the number of threads.
+    When tasks fail, no
+    index is claimed after the failure, the threads are joined, and the
+    error of the lowest failing index is raised, as a serial loop would
+    raise it.
     """
-    entries = list(manifest)
-    results = [None] * len(entries)
+    results = [None] * count
     errors = {}
     lock = threading.Lock()
     stop = threading.Event()
-    unclaimed = iter(range(len(entries)))
+    unclaimed = iter(range(count))
 
     def claim():
         with lock:
@@ -205,7 +203,7 @@ def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:
     def work():
         while (index := claim()) is not None:
             try:
-                results[index] = extract_samples(entries[index], config, channels)
+                results[index] = task(index)
             except Exception as exc:  # re-raised by the calling thread
                 with lock:
                     errors[index] = exc
@@ -213,8 +211,8 @@ def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:
                 return
 
     helpers = [
-        threading.Thread(target=work, name=f"earshot-extract-{n}")
-        for n in range(1, min(_usable_cores(), len(entries)))
+        threading.Thread(target=work, name=f"{name}-{n}")
+        for n in range(1, min(_usable_cores(), count))
     ]
     for thread in helpers:
         thread.start()
@@ -226,6 +224,20 @@ def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:
             thread.join()
     if errors:
         raise errors[min(errors)]
+    return results
+
+
+def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:
+    """Labeled samples of every manifest entry, in manifest order, from the
+    given ``channels`` of each (see ``extract_samples``).
+
+    The entries are extracted on ``parallel_map``'s threads, each through
+    ``extract_samples`` alone, so the samples do not depend on the number of
+    threads; of several failing entries, the first in manifest order raises.
+    """
+    entries = list(manifest)
+    results = parallel_map(lambda i: extract_samples(entries[i], config, channels),
+                           len(entries), "earshot-extract")
     return [sample for samples in results for sample in samples]
 
 

@@ -323,10 +323,11 @@ def mic_subset_study(manifest, config: PipelineConfig, subset_sizes, trials: int
     if not entries:
         raise ValueError("no recordings given")
     n_mics = load_geometry(entries[0].geometry).n_mics
-    rows = []
     for m in subset_sizes:
         if not 2 <= m <= n_mics:
             raise ValueError(f"subset size {m} outside [2, {n_mics}]")
+    rows = []
+    for m in subset_sizes:
         rng = np.random.default_rng(derive_seed(seed, f"micstudy-m{m}"))
         n_trials = 1 if m == n_mics else trials
         accuracies = []

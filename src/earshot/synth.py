@@ -29,10 +29,11 @@ import numpy as np
 
 from . import _backend
 from .audio import ArrayGeometry, AudioClip, save_geometry, write_wav
-from .dataset import ManifestEntry, RecordingManifest, save_manifest
+from .dataset import ManifestEntry, RecordingManifest, parallel_map, save_manifest
 from .util import derive_seed, write_text
 
 _MASK_STRIDE = 64  # path validity is re-evaluated every this many samples (1.3 ms)
+_BLOCK = 1 << 15  # samples of the source track positioned and mixed at once
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +298,60 @@ class RenderedRecording:
 # signal generation and rendering
 
 
+def _square_sum(flat: np.ndarray):
+    """The sum of squares of a 1-D float64 array, in NumPy's pairwise order.
+
+    NumPy sums a contiguous array pairwise: it splits a range at half its
+    length, rounded down to a multiple of 8, until the pieces are short.
+    Splitting the same way down to pieces of at most 2**16 elements and
+    summing each piece's squares with ``np.sum`` rebuilds the same tree.
+    """
+    if flat.size <= 1 << 16:
+        return np.sum(flat * flat)
+    half = flat.size // 2
+    half -= half % 8
+    return _square_sum(flat[:half]) + _square_sum(flat[half:])
+
+
+def _mean_square(x: np.ndarray) -> float:
+    """``np.mean(x**2)`` of a C-contiguous float64 array, bit for bit, without
+    an ``x``-sized temporary."""
+    return float(_square_sum(x.reshape(-1)) / x.size)
+
+
 def _source_signal(spec: SignalSpec, n_samples: int, sample_rate: int, seed: int) -> np.ndarray:
     """Unit-RMS band-passed pink noise, optionally with a harmonic comb."""
     rng = np.random.default_rng(seed)
     # round the FFT length up to a friendly size, then trim
     n_fft = -(-n_samples // 4096) * 4096
-    white = rng.standard_normal(n_fft)
-    spectrum = np.fft.rfft(white)
+    spectrum = np.fft.rfft(rng.standard_normal(n_fft))
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     lo, hi = spec.band
     shape = np.zeros_like(freqs)
     inside = (freqs >= lo) & (freqs <= hi)
     shape[inside] = 1.0 / np.sqrt(np.maximum(freqs[inside], lo))
-    sig = np.fft.irfft(spectrum * shape, n=n_fft)[:n_samples]
-    sig /= np.sqrt(np.mean(sig**2)) + 1e-30
+    spectrum *= shape
+    del freqs, shape, inside
+    sig = np.fft.irfft(spectrum, n=n_fft)[:n_samples]
+    del spectrum
+    sig /= np.sqrt(_mean_square(sig)) + 1e-30
 
     if spec.tone_fundamental is not None:
         t = np.arange(n_samples) / sample_rate
         comb = np.zeros(n_samples)
+        wave = np.empty(n_samples)
         for h in range(1, spec.tone_harmonics + 1):
             phase = rng.uniform(0, 2 * np.pi)
-            comb += np.sin(2 * np.pi * spec.tone_fundamental * h * t + phase) / h
-        comb /= np.sqrt(np.mean(comb**2)) + 1e-30
-        sig = sig + spec.tone_gain * comb
-        sig /= np.sqrt(np.mean(sig**2)) + 1e-30
+            np.multiply(2 * np.pi * spec.tone_fundamental * h, t, out=wave)
+            wave += phase
+            np.sin(wave, out=wave)
+            wave /= h
+            comb += wave
+        del t, wave
+        comb /= np.sqrt(_mean_square(comb)) + 1e-30
+        comb *= spec.tone_gain
+        sig += comb
+        sig /= np.sqrt(_mean_square(sig)) + 1e-30
     return sig
 
 
@@ -339,84 +370,110 @@ def _mic_world_positions(geometry: ArrayGeometry, pose: ArrayPose) -> np.ndarray
     return np.asarray(pose.position) + local[:, :1] * right + local[:, 1:2] * forward
 
 
-def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000) -> RenderedRecording:
-    """Simulate the scene into a multichannel clip with ground-truth t0."""
-    fs = sample_rate
-    n = int(round(scenario.duration * fs))
-    mics = _mic_world_positions(geometry, scenario.pose)
+def _blocks(n: int):
+    """(start, stop) of the blocks that cover n samples, _BLOCK at most; a
+    lone last sample joins the block before it, so no block is one row."""
+    edges = list(range(0, max(n - 1, 1), _BLOCK)) + [n]
+    return zip(edges[:-1], edges[1:])
+
+
+def _mix_source(scenario: Scenario, mics: np.ndarray, speed_of_sound: float, n: int,
+                fs: int):
+    """The source's direct path and wall images mixed into an (m, n) array,
+    and the first line-of-sight time t0 (None if the source is never seen)."""
+    path, walls = scenario.path, scenario.walls
     center = np.asarray(scenario.pose.position, dtype=np.float64)
-    walls = scenario.walls
-    c = geometry.speed_of_sound
-    m = geometry.n_mics
+    coarse = path.position(np.arange(0, n, _MASK_STRIDE) / fs)
 
-    mixed = np.zeros((m, n))
+    # t0: first sample where the source sees the array center.  A coarse
+    # scan brackets the opening, then the bracket is refined per sample;
+    # line-of-sight blips shorter than the mask stride before the first
+    # bracketed opening are beyond the simulator's resolution.
     t0 = None
-    if scenario.path is not None:
-        t = np.arange(n) / fs
-        src = scenario.path.position(t)  # (n, 2)
+    coarse_ok = ~_blocked_matrix(walls, coarse, np.broadcast_to(center, coarse.shape)).any(axis=1)
+    if np.any(coarse_ok):
+        i_c = int(np.argmax(coarse_ok)) * _MASK_STRIDE
+        lo = max(0, i_c - _MASK_STRIDE)
+        seg = path.position(np.arange(lo, i_c + 1) / fs)
+        exact_ok = ~_blocked_matrix(walls, seg, np.broadcast_to(center, seg.shape)).any(axis=1)
+        t0 = float(lo + np.argmax(exact_ok)) / fs
 
-        # t0: first sample where the source sees the array center.  A coarse
-        # scan brackets the opening, then the bracket is refined per sample;
-        # line-of-sight blips shorter than the mask stride before the first
-        # bracketed opening are beyond the simulator's resolution.
-        coarse = src[::_MASK_STRIDE]
-        coarse_ok = ~_blocked_matrix(walls, coarse, np.broadcast_to(center, coarse.shape)).any(axis=1)
-        if np.any(coarse_ok):
-            i_c = int(np.argmax(coarse_ok)) * _MASK_STRIDE
-            lo = max(0, i_c - _MASK_STRIDE)
-            seg = src[lo : i_c + 1]
-            exact_ok = ~_blocked_matrix(walls, seg, np.broadcast_to(center, seg.shape)).any(axis=1)
-            t0 = float(lo + np.argmax(exact_ok)) / fs
+    # Path positions are piecewise linear and mirroring is affine, so
+    # every source-to-mic distance peaks at a waypoint; that bounds the
+    # look-back the source signal needs.
+    probe_t = np.unique(np.concatenate([[0.0, scenario.duration], path.times]))
+    probe = path.position(np.clip(probe_t, 0.0, scenario.duration))
+    candidates = [probe] + [
+        _mirror_points(probe, walls[w, 0], walls[w, 1]) for w in range(walls.shape[0])
+    ]
+    max_dist = max(
+        float(np.hypot(*(pts - mic).T).max()) for pts in candidates for mic in mics
+    )
+    lead = int(np.ceil(max_dist / speed_of_sound * fs)) + 8
+    sig = _source_signal(scenario.signal, lead + n + 2, fs, derive_seed(scenario.seed, "source"))
+    valid = _path_validity(walls, coarse, mics)  # (m, 1 + W, blocks)
+    runs = [[_sample_runs(valid[mi, p], n) for mi in range(len(mics))]
+            for p in range(valid.shape[1])]
 
-        # Path positions are piecewise linear and mirroring is affine, so
-        # every source-to-mic distance peaks at a waypoint; that bounds the
-        # look-back the source signal needs.
-        inner = scenario.path.times
-        probe_t = np.unique(np.concatenate([[0.0, scenario.duration], inner]))
-        probe = scenario.path.position(np.clip(probe_t, 0.0, scenario.duration))
-        candidates = [probe] + [
-            _mirror_points(probe, walls[w, 0], walls[w, 1]) for w in range(walls.shape[0])
-        ]
-        max_dist = max(
-            float(np.hypot(*(pts - mic).T).max()) for pts in candidates for mic in mics
-        )
-        lead = int(np.ceil(max_dist / c * fs)) + 8
-        sig = _source_signal(scenario.signal, lead + n + 2, fs, derive_seed(scenario.seed, "source"))
-
-        valid = _path_validity(walls, coarse, mics)  # (m, 1 + W, blocks)
-        scale = fs / c
-        for p in range(valid.shape[1]):
-            runs = [_sample_runs(valid[mi, p], n) for mi in range(m)]
-            heard = [r for r in runs if len(r)]
+    # Every step below works sample by sample (the mirror's matmul row by row,
+    # given two rows or more), so mixing block by block gives the bits of one
+    # pass over the whole scene.
+    mixed = np.zeros((len(mics), n))
+    scale = fs / speed_of_sound
+    for a, b in _blocks(n):
+        src = path.position(np.arange(a, b) / fs)
+        for p, path_runs in enumerate(runs):
+            cut = [np.clip(r, a, b) for r in path_runs]
+            cut = [r[r[:, 0] < r[:, 1]] for r in cut]
+            heard = [r for r in cut if len(r)]
             if not heard:
                 continue
             if p == 0:
-                pts, lo = src, 0
+                pts, lo = src, a
             else:
                 # Mirror only the span that some microphone hears.  A one-row
                 # matmul takes NumPy's dot path and may round differently, so
                 # the span keeps at least two rows.
                 hi = max(int(r[-1, 1]) for r in heard)
-                lo = min(min(int(r[0, 0]) for r in heard), max(hi - 2, 0))
-                pts = _mirror_points(src[lo:hi], walls[p - 1, 0], walls[p - 1, 1])
-            for mi in range(m):
-                mic = mics[mi]
-                for a, b in runs[mi]:
-                    seg = pts[a - lo : b - lo]
+                lo = min(min(int(r[0, 0]) for r in heard), max(hi - 2, a))
+                pts = _mirror_points(src[lo - a : hi - a], walls[p - 1, 0], walls[p - 1, 1])
+            for mi, mic in enumerate(mics):
+                for s, e in cut[mi]:
+                    seg = pts[s - lo : e - lo]
                     dist = np.hypot(seg[:, 0] - mic[0], seg[:, 1] - mic[1])
                     _backend.kernels.lerp_mix(
-                        mixed[mi, a:b], sig, dist * scale, 1.0 / np.maximum(dist, 0.5), lead + a
+                        mixed[mi, s:e], sig, dist * scale, 1.0 / np.maximum(dist, 0.5), lead + s
                     )
+    return mixed, t0
 
-    noise_rng = np.random.default_rng(derive_seed(scenario.seed, "noise"))
-    clean_rms = float(np.sqrt(np.mean(mixed**2)))
+
+def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000) -> RenderedRecording:
+    """Simulate the scene into a multichannel clip with ground-truth t0.
+
+    Beyond the (m, n) result, the working set is about one channel: the
+    source signal while the paths are mixed, then one channel's noise.
+    """
+    fs = sample_rate
+    n = int(round(scenario.duration * fs))
+    m = geometry.n_mics
+    if scenario.path is None:
+        mixed, t0 = np.zeros((m, n)), None
+    else:
+        mics = _mic_world_positions(geometry, scenario.pose)
+        mixed, t0 = _mix_source(scenario, mics, geometry.speed_of_sound, n, fs)
+
+    clean_rms = float(np.sqrt(_mean_square(mixed)))
     if clean_rms > 0:
         noise_std = clean_rms * 10.0 ** (-scenario.snr_db / 20.0)
     else:
         noise_std = scenario.noise_floor
-    noise = noise_rng.standard_normal((m, n))
-    noise *= noise_std
-    mixed += noise
+    # Drawn one channel at a time: the same stream as one (m, n) draw.
+    noise_rng = np.random.default_rng(derive_seed(scenario.seed, "noise"))
+    noise = np.empty(n)
+    for channel in mixed:
+        noise_rng.standard_normal(out=noise)
+        noise *= noise_std
+        channel += noise
 
     peak = float(max(mixed.max(), -mixed.min()))
     if peak > 0.95:
@@ -519,7 +576,10 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
     JSON per recording, and a manifest CSV whose preamble holds the seed, the
     environment, the class count and ``extra_preamble``; returns the manifest
     path.  Everything derives from the one seed, so a rerun reproduces
-    identical bytes.
+    identical bytes.  The scenes are rendered and written on
+    ``dataset.parallel_map``'s threads, one per usable core; if any fails,
+    every file of the call is removed and the first failing scene's error is
+    raised.
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
@@ -528,44 +588,39 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
     geom_path = os.path.join(out_dir, "geometry.json")
     save_geometry(geometry, geom_path)
 
-    entries = []
-    written = [geom_path]
+    situations = ("left", "right", "none")
+    written = [geom_path]  # appended to by every scene thread
+
+    def scene(index):
+        situation, i = situations[index // per_class], index % per_class
+        scene_seed = derive_seed(seed, f"{env_type}-{situation}-{i}")
+        rng = np.random.default_rng(scene_seed)
+        scenario = t_junction_scenario(
+            situation,
+            env_type=env_type,
+            seed=scene_seed,
+            speed_kmh=rng.uniform(10.0, 30.0),
+            street_width=rng.uniform(6.0, 8.0),
+            cross_width=rng.uniform(6.0, 8.0),
+            standoff=rng.uniform(7.0, 10.0),
+            lane_frac=rng.uniform(0.35, 0.65),
+            t0_target=rng.uniform(3.8, 5.0),
+            tone_fundamental=rng.uniform(90.0, 140.0),
+            duration=rng.uniform(6.5, 8.0) if situation == "none" else None,
+        )
+        rec = render(scenario, geometry)
+        stem = f"{env_type}_{situation}_{i:03d}"
+        wav_path = os.path.join(out_dir, stem + ".wav")
+        write_wav(rec.clip, wav_path, encoding=encoding)
+        written.append(wav_path)
+        scenario_path = os.path.join(out_dir, stem + ".scenario.json")
+        save_scenario(scenario, scenario_path)
+        written.append(scenario_path)
+        return ManifestEntry(wav=stem + ".wav", geometry="geometry.json", situation=situation,
+                             environment=env_type, motion="static", t0=rec.t0)
+
     try:
-        for situation in ("left", "right", "none"):
-            for i in range(per_class):
-                scene_seed = derive_seed(seed, f"{env_type}-{situation}-{i}")
-                rng = np.random.default_rng(scene_seed)
-                scenario = t_junction_scenario(
-                    situation,
-                    env_type=env_type,
-                    seed=scene_seed,
-                    speed_kmh=rng.uniform(10.0, 30.0),
-                    street_width=rng.uniform(6.0, 8.0),
-                    cross_width=rng.uniform(6.0, 8.0),
-                    standoff=rng.uniform(7.0, 10.0),
-                    lane_frac=rng.uniform(0.35, 0.65),
-                    t0_target=rng.uniform(3.8, 5.0),
-                    tone_fundamental=rng.uniform(90.0, 140.0),
-                    duration=rng.uniform(6.5, 8.0) if situation == "none" else None,
-                )
-                rec = render(scenario, geometry)
-                stem = f"{env_type}_{situation}_{i:03d}"
-                wav_path = os.path.join(out_dir, stem + ".wav")
-                write_wav(rec.clip, wav_path, encoding=encoding)
-                written.append(wav_path)
-                scenario_path = os.path.join(out_dir, stem + ".scenario.json")
-                save_scenario(scenario, scenario_path)
-                written.append(scenario_path)
-                entries.append(
-                    ManifestEntry(
-                        wav=stem + ".wav",
-                        geometry="geometry.json",
-                        situation=situation,
-                        environment=env_type,
-                        motion="static",
-                        t0=rec.t0,
-                    )
-                )
+        entries = parallel_map(scene, len(situations) * per_class, "earshot-render")
         manifest_path = os.path.join(out_dir, "manifest.csv")
         preamble = {"seed": seed, "env_type": env_type, "per_class": per_class}
         preamble.update(extra_preamble or {})

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from earshot import audio
 from earshot.audio import (
     ArrayGeometry,
     AudioClip,
@@ -598,3 +599,57 @@ def test_pcm24_load_peak_stays_near_the_result(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * clip.samples.nbytes
+
+
+def one_pass_wav(samples, sample_rate, encoding):
+    """The bytes write_wav wrote before it encoded in chunks: the whole
+    payload packed in one pass, then the RIFF container around it."""
+    if encoding == "pcm24":
+        codes = np.clip(np.rint(samples.T * 8388608.0), -8388608, 8388607).astype("<i4")
+        payload = codes.ravel().view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    else:
+        payload = samples.T.astype("<f4").tobytes()
+    fmt_tag, bits = ENCODINGS[encoding]
+    return build_wav(fmt_tag, samples.shape[0], sample_rate, bits, payload)
+
+
+_CHUNK = audio._WRITE_FRAMES
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    encoding=st.sampled_from(["pcm24", "float32"]),
+    channels=st.integers(1, 9),
+    frames=st.one_of(st.integers(1, 40),
+                     st.sampled_from([k * _CHUNK + d for k in (1, 2) for d in (-1, 0, 1)])),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(encoding="pcm24", channels=3, frames=_CHUNK + 1, seed=0)  # odd payload: a pad byte
+def test_chunked_write_equals_the_one_pass_writer(encoding, channels, frames, seed):
+    """Frame counts below, on and around multiples of the chunk: the file
+    holds the one-pass writer's bytes, pad byte, full scale and rounding ties
+    included."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-1.0, 1.0, size=(channels, frames))
+    flat = samples.reshape(-1)
+    picks = rng.integers(0, flat.size, size=min(flat.size, 6))
+    flat[picks] = [1.0, -1.0, 0.5 / 8388608, -2.5 / 8388608, 0.0, -0.0][: picks.size]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.wav"
+        write_wav(AudioClip(samples, 16000), path, encoding=encoding)
+        assert path.read_bytes() == one_pass_wav(samples, 16000, encoding)
+
+
+@pytest.mark.parametrize("encoding", ["pcm24", "float32"])
+def test_write_peak_stays_near_its_input(tmp_path, encoding):
+    """Writing a stock-sized scene (7.5 s, 8 channels, 48 kHz) holds the
+    input and one chunk's encoding at its peak, not a whole-clip copy."""
+    samples = np.random.default_rng(6).uniform(-0.9, 0.9, size=(8, 360000))
+    tracemalloc.start()
+    try:
+        clip = AudioClip(samples.copy(), 48000)
+        write_wav(clip, tmp_path / "scene.wav", encoding=encoding)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * clip.samples.nbytes

@@ -359,6 +359,31 @@ def test_extract_and_micstudy_name_both_files_on_a_mic_count_mismatch(tmp_path, 
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_doa_and_predict_name_both_files_on_a_mic_count_mismatch(tmp_path, arts, front_wav,
+                                                                 capsys):
+    """A 6-channel WAV with an 8-microphone geometry: exit 4 with one
+    `earshot: error:` line naming the WAV and the geometry."""
+    wav, _ = front_wav
+    eight = tmp_path / "eight.json"
+    save_geometry(random_planar_array(8, seed=2), eight)
+    message = f"{wav} has 6 channels but {eight} has 8 microphones"
+    assert_exit_4(["doa", str(wav), str(eight)], capsys, message)
+    assert_exit_4(["predict", str(wav), str(eight), "--model", str(arts["model"])], capsys,
+                  message)
+
+
+def test_micstudy_checks_every_size_before_extracting(bench_dir, monkeypatch, capsys):
+    """A size beyond the array exits 4 before the valid sizes ahead of it are
+    extracted and cross-validated."""
+    from earshot import evaluate
+
+    calls = []
+    monkeypatch.setattr(evaluate, "extract_manifest", lambda *args: calls.append(args))
+    assert_exit_4(["micstudy", str(bench_dir), "--sizes", "2,4,8,9"], capsys,
+                  "subset size 9 outside [2, 8]")
+    assert calls == []
+
+
 @pytest.mark.parametrize("flags,cfg", [
     ([], PipelineConfig()),
     (["--segments", "3"], PipelineConfig(segments=3)),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import sys
 import threading
 import time
 
@@ -18,6 +19,7 @@ from earshot.dataset import (
     extract_samples,
     extraction_times,
     load_manifest,
+    parallel_map,
     save_manifest,
     stratified_folds,
 )
@@ -498,6 +500,27 @@ def test_parallel_extract_names_the_first_bad_recording(
     assert entries[second].recording_id not in err
     assert _extract_threads_alive() == []
     assert not (tmp_path / "f.csv").exists()
+
+
+def test_parallel_map_runs_every_index_once_under_contention(monkeypatch):
+    """Eight threads on fewer cores, switching every microsecond: every index
+    is claimed exactly once and its result lands in its own slot."""
+    monkeypatch.setattr(dataset, "_usable_cores", lambda: 8)
+    claimed = []
+
+    def task(i):
+        claimed.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = parallel_map(task, 3000, "earshot-stress")
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(claimed) == list(range(3000))
+    assert got == [i * i for i in range(3000)]
+    assert not [t for t in threading.enumerate() if t.name.startswith("earshot-stress")]
 
 
 def test_folds_balanced_20_per_class():

@@ -3,11 +3,15 @@
 import errno
 import io
 import os
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from earshot import synth, util
+from earshot import dataset, synth, util
 from earshot._kernels_np import lerp_mix
 from earshot.audio import AudioClip, UnsupportedEncodingError, load_wav
 from earshot.beamform import argmax_doa, srp_phat
@@ -272,6 +276,93 @@ def test_make_benchmark_cleanup_on_failure(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "full") == []
 
 
+def _render_threads_alive():
+    return [t.name for t in threading.enumerate() if t.name.startswith("earshot-render")]
+
+
+def test_make_benchmark_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    """One, two or three threads write the same tree, byte for byte, and each
+    of the threads renders a scene."""
+    trees = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(dataset, "_usable_cores", lambda cores=cores: cores)
+        barrier = threading.Barrier(cores)
+        lock, seen = threading.Lock(), set()
+
+        def spy(scenario, geometry, *args):
+            name = threading.current_thread().name
+            with lock:
+                first = name not in seen
+                seen.add(name)
+            if first:  # hold each thread's first scene until every thread has one
+                barrier.wait(timeout=60)
+            return render(scenario, geometry, *args)
+
+        monkeypatch.setattr(synth, "render", spy)
+        out = tmp_path / f"cores{cores}"
+        make_benchmark(out, per_class=1, seed=31)
+        assert len(seen) == cores
+        trees.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert _render_threads_alive() == []
+    assert len(trees[0]) == 8  # geometry, manifest, and a WAV and scenario per scene
+    assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_make_benchmark_failure_mid_corpus_removes_every_file(tmp_path, monkeypatch, cores):
+    """Two scenes fail mid-corpus, the later one first: the earlier scene's
+    error is raised, as a serial loop would raise it, and no file of the call
+    stays behind, the scenes written before the failure included."""
+    monkeypatch.setattr(dataset, "_usable_cores", lambda: cores)
+    slow = derive_seed(5, "A-right-1")
+    fast = derive_seed(5, "A-none-0")
+
+    def failing(scenario, geometry, *args):
+        if scenario.seed == slow:
+            time.sleep(0.2)  # let the later scene fail first
+            raise RuntimeError("right scene 1 failed")
+        if scenario.seed == fast:
+            raise RuntimeError("none scene 0 failed")
+        return render(scenario, geometry, *args)
+
+    monkeypatch.setattr(synth, "render", failing)
+    out = tmp_path / "corpus"
+    with pytest.raises(RuntimeError, match="right scene 1 failed"):
+        make_benchmark(out, per_class=2, env_type="A", seed=5)
+    assert os.listdir(out) == []
+    assert _render_threads_alive() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    cols=st.one_of(st.integers(1, 300), st.integers(1, 400_000),
+                   st.sampled_from([k * 2**16 + d for k in (1, 2, 3) for d in (-8, -1, 0, 1, 8)])),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-6, 1e3),
+)
+def test_mean_square_is_numpys_mean_bit_for_bit(rows, cols, seed, scale):
+    """The leaf-blocked sum rebuilds NumPy's pairwise order; a NumPy whose
+    reduction sums in another order fails here."""
+    x = np.random.default_rng(seed).standard_normal((rows, cols)) * scale
+    assert synth._mean_square(x) == float(np.mean(x**2))
+
+
+def test_render_peak_stays_near_its_result():
+    """A stock scene (7.5 s, 8 mics) holds the result plus about one
+    channel's worth of arrays at its peak."""
+    scenario = t_junction_scenario("left", env_type="A", seed=1)
+    geom = random_planar_array(8, seed=0)
+    tracemalloc.start()
+    try:
+        rec = render(scenario, geom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.clip.duration == 7.5
+    assert peak <= 1.4 * rec.clip.samples.nbytes
+
+
 # ---------------------------------------------------------------------------
 # bit-exact reference: the full-length, per-microphone renderer
 
@@ -455,6 +546,22 @@ def test_render_matches_full_length_reference_bit_for_bit(case, n_mics):
                                      synth._mic_world_positions(geom, scenario.pose))
         opens = np.diff(valid.astype(np.int8), axis=-1).clip(0).sum(axis=-1)
         assert opens[:, 0].max() >= 2 and opens[:, 1:].max() >= 2
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_render_matches_the_reference_around_a_block_edge(extra):
+    """Scenes ending one sample before, at, and one or two samples past the
+    end of the first mixing block keep the reference's bits; a lone last
+    sample is mixed with the block before it (seed 6 hears a mirror there, and
+    a one-row mirror would round differently)."""
+    scenario = _zigzag_scene(6)
+    scenario.duration = (synth._BLOCK + extra) / 48000
+    geom = random_planar_array(4, seed=3)
+    rec = render(scenario, geom)
+    samples, t0 = _reference_render(scenario, geom)
+    assert rec.clip.n_samples == synth._BLOCK + extra
+    assert rec.t0 == t0
+    assert np.array_equal(rec.clip.samples, samples)
 
 
 def test_benchmark_side_samples_score_off_side(bench_flat):
