@@ -10,6 +10,15 @@ at zero from below after the full summation, and normalizes by
 pairs * frames * bins.  Frames are summed before the steering scan (the
 steering term does not depend on t) and the remaining reduction runs in a
 fixed loop order, so results are reproducible call to call.
+
+The phase transform of Knapp & Carter (IEEE TASSP 24(4), 1976) divides each
+cross-spectrum cell by its magnitude, G_ij = X_i conj X_j / |X_i conj X_j|.
+Since |X_i conj X_j| = |X_i| |X_j|, that equals U_i conj U_j with each
+channel whitened once, U = X / max(|X|, 1e-12).  The frame-summed cross-
+spectra of all pairs are then one batched matrix product per bin.  The guard
+against dividing by zero applies per channel rather than per pair: an
+all-zero cell stays exactly zero under either rule, and the two rules differ
+only in cells where 0 < |X| < 1e-12.
 """
 
 from __future__ import annotations
@@ -67,23 +76,32 @@ class DoaResponse:
             raise ValueError("energies must be finite")
 
 
-def steering_delays(geometry: ArrayGeometry, azimuth_deg: float) -> np.ndarray:
-    """Relative arrival delay per microphone for a far-field plane wave."""
-    a = np.deg2rad(azimuth_deg)
-    u = np.array([np.sin(a), 0.0, np.cos(a)])
-    return -(geometry.positions @ u) / geometry.speed_of_sound
+def steering_delays(geometry: ArrayGeometry, azimuth_deg) -> np.ndarray:
+    """Relative arrival delay per microphone for a far-field plane wave.
+
+    A scalar azimuth gives one delay per microphone, shaped (mics,); an array
+    of azimuths gives one row per azimuth, shaped (*azimuths, mics).  Each
+    row is bit-identical to the scalar call for its azimuth.
+    """
+    a = np.deg2rad(np.asarray(azimuth_deg, dtype=np.float64))[..., None]
+    x, _, z = geometry.positions.T  # u = (sin a, 0, cos a) has no y part
+    return -(np.sin(a) * x + np.cos(a) * z) / geometry.speed_of_sound
+
+
+def _whiten(spectrum: np.ndarray) -> np.ndarray:
+    """Each cell divided by max(|.|, 1e-12): phase only, and zero stays zero."""
+    return spectrum / np.maximum(np.abs(spectrum), PHAT_EPSILON)
 
 
 def gcc_phat_cross(stack: StftStack, i, j) -> np.ndarray:
     """Phase-transform cross-spectrum of channels i and j, shaped (frames, bins).
 
-    Each time-frequency cell is X_i * conj(X_j) divided by max(|.|, 1e-12), so
-    cells carry phase only and an all-zero frame stays exactly zero.  With
-    equal-length index arrays for i and j the result stacks one cross-spectrum
-    per pair, shaped (pairs, frames, bins).
+    Each time-frequency cell is U_i * conj(U_j) with both channels whitened
+    (module docstring), so cells carry phase only and an all-zero frame stays
+    exactly zero.  With equal-length index arrays for i and j the result
+    stacks one cross-spectrum per pair, shaped (pairs, frames, bins).
     """
-    cross = stack.data[i] * np.conj(stack.data[j])
-    return cross / np.maximum(np.abs(cross), PHAT_EPSILON)
+    return _whiten(stack.data[i]) * np.conj(_whiten(stack.data[j]))
 
 
 def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None = None) -> DoaResponse:
@@ -101,10 +119,11 @@ def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None
         raise ValueError("empty spectrogram stack")
 
     left, right = np.triu_indices(m, 1)
-    g_sum = gcc_phat_cross(stack, left, right).sum(axis=1)
+    u = _whiten(stack.data.transpose(2, 0, 1))  # (bins, channels, frames)
+    g_sum = (u @ u.conj().transpose(0, 2, 1))[:, left, right].T  # (pairs, bins)
 
-    delays = np.stack([steering_delays(geometry, a) for a in grid.bin_centers])
-    tau = np.ascontiguousarray(delays[:, left] - delays[:, right])
+    delays = steering_delays(geometry, grid.bin_centers)
+    tau = delays[:, left] - delays[:, right]
     omega = 2.0 * np.pi * stack.bin_freqs
 
     r = _backend.kernels.steered_power(

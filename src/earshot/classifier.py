@@ -315,7 +315,7 @@ def load_model(path) -> SvmModel:
     try:
         config = PipelineConfig.from_dict(payload["config"])
         lam, seed = float(payload["lambda"]), int(payload["seed"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ModelFormatError(f"{path}: {exc}") from None
     if config.hash != payload["config_hash"]:
         raise ModelFormatError(f"{path}: config_hash does not match the stored config")

@@ -129,9 +129,12 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
     """Compute the stacked DoA feature from the trailing window of a clip.
 
     The window is a view of the clip's samples (``AudioClip.trailing``); it
-    is only read.  One banded STFT call transforms it channel by channel and
-    keeps only the [f_min, f_max] bins, so neither the windowed frames nor
-    the full spectrum of all channels is ever held at once.
+    is only read.  One banded STFT call transforms it channel by channel,
+    windows it in the frequency domain and keeps only the [f_min, f_max]
+    bins, so no frames buffer and no full spectrum of all channels is ever
+    held.  Each segment's scan whitens every channel once and sums the pair
+    cross-spectra over its frames in one batched matrix product
+    (``beamform``).
     """
     window = clip.trailing(config.sample_len)
     if window.n_samples / config.segments < config.frame_len:

@@ -3,6 +3,13 @@
 Frames are contiguous hops of a periodic Hann window; a final partial frame is
 dropped rather than zero-padded, so every frame sees real signal.  Spectra are
 one-sided (bins 0 .. frame_len/2).
+
+The window is applied in the frequency domain.  The periodic Hann window
+0.5 - 0.5 cos(2 pi n / N) has exactly three DFT lines, so the spectrum of a
+windowed frame is 0.5 X[k] - 0.25 (X[k-1] + X[k+1]), where X is the spectrum
+of the unwindowed frame.  The lines past either end of the one-sided spectrum
+follow from the symmetry of a real frame's DFT: X[-1] = conj X[1] and
+X[N/2 + 1] = conj X[N/2 - 1].
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioClip, hann_window
+from .audio import AudioClip
 
 
 @dataclass
@@ -57,16 +64,18 @@ def stft(
     """Windowed one-sided STFT of every channel.
 
     The number of frames is floor((N - frame_len) / hop) + 1; a trailing
-    partial frame is discarded.  Channels are transformed one at a time, so
-    the working arrays hold one channel's frames and one channel's spectrum,
-    never the whole clip's.
+    partial frame is discarded.  Channels are transformed one at a time: the
+    ``rfft`` reads each channel's frames straight from the samples, with no
+    frames buffer and no window multiply, and the Hann window is then applied
+    as its three spectral lines (module docstring) to the kept bins only.  So
+    the working arrays hold one channel's spectrum, never the whole clip's.
 
     ``band=(f_min, f_max)`` keeps only the bins that ``band_select`` keeps
     and equals ``band_select(stft(clip, frame_len, hop), f_min, f_max)`` in
-    values, shape and strides: the stack is stored bin-major, the layout that
-    ``band_select``'s boolean index gives.  Sums over frames follow the
-    layout (``srp_phat`` sums cross-spectra over frames), so the layout keeps
-    their last bits.  ``band=None`` keeps every bin, in C order.
+    values, shape and strides: one helper windows both, and the stack is
+    stored bin-major, the layout that ``band_select``'s boolean index gives.
+    Sums over frames follow the layout, so the layout keeps their last bits.
+    ``band=None`` keeps every bin, in C order.
     """
     if frame_len < 2 or frame_len % 2:
         raise ValueError("frame_len must be even and >= 2")
@@ -81,17 +90,16 @@ def stft(
     bin_indices = np.arange(n_bins)
     if band is None:
         data = np.empty((clip.channels, n_frames, n_bins), dtype=np.complex128)
-        keep = slice(None)
     else:
         bin_indices = bin_indices[_band_mask(bin_indices, clip.sample_rate, frame_len, *band)]
-        keep = slice(bin_indices[0], bin_indices[-1] + 1)
         data = np.empty((bin_indices.size, clip.channels, n_frames), dtype=np.complex128)
         data = data.transpose(1, 2, 0)
-    window = hann_window(frame_len)
-    frames = np.empty((n_frames, frame_len))
+    lo, hi = bin_indices[0], bin_indices[-1] + 1
     for ch, samples in enumerate(clip.samples):
-        np.multiply(sliding_window_view(samples, frame_len)[::hop], window, out=frames)
-        data[ch] = np.fft.rfft(frames, axis=1)[:, keep]
+        frames = sliding_window_view(samples, frame_len)[::hop]
+        # The spectrum is a temporary, freed before the next channel's rfft,
+        # which then reuses its memory rather than mapping fresh pages.
+        data[ch] = _hann_lines(np.fft.rfft(frames, axis=1), lo, hi)
     return StftStack(
         data=data,
         sample_rate=clip.sample_rate,
@@ -99,6 +107,28 @@ def stft(
         hop=hop,
         bin_indices=bin_indices,
     )
+
+
+def _hann_lines(spectrum, lo, hi) -> np.ndarray:
+    """Bins lo .. hi-1 of the Hann-windowed spectrum, one frame per row.
+
+    ``spectrum`` holds the one-sided spectra of unwindowed frames, one frame
+    per row.  Bin k becomes 0.5 X[k] - 0.25 (X[k-1] + X[k+1]); bin 0 and the
+    Nyquist bin take their outer neighbour from the conjugate symmetry.
+    """
+    n = spectrum.shape[1]
+    if lo > 0:
+        below = spectrum[:, lo - 1 : hi - 1]
+    else:  # X[-1] = conj X[1]
+        below = np.concatenate([spectrum[:, 1:2].conj(), spectrum[:, : hi - 1]], axis=1)
+    if hi < n:
+        above = spectrum[:, lo + 1 : hi + 1]
+    else:  # X[N/2 + 1] = conj X[N/2 - 1]
+        above = np.concatenate([spectrum[:, lo + 1 :], spectrum[:, n - 2 : n - 1].conj()], axis=1)
+    windowed = below + above
+    windowed *= -0.25
+    windowed += 0.5 * spectrum[:, lo:hi]
+    return windowed
 
 
 def _band_mask(bin_indices, sample_rate, frame_len, f_min, f_max) -> np.ndarray:

@@ -40,6 +40,17 @@ def test_steering_delay_closed_forms():
     assert left[0] - left[1] == -(right[0] - right[1])
 
 
+def test_steering_delays_of_an_array_are_the_per_azimuth_delays():
+    geom = random_planar_array(8, seed=5)
+    azimuths = np.concatenate([AzimuthGrid(30).bin_centers, [-90.0, 0.0, 90.0, 33.3]])
+    rows = steering_delays(geom, azimuths)
+    assert rows.shape == (azimuths.size, 8)
+    want = np.stack([steering_delays(geom, a) for a in azimuths])
+    assert np.max(np.abs(rows - want)) <= 1e-15 * np.max(np.abs(want))
+    grid = steering_delays(geom, azimuths.reshape(2, -1))
+    assert np.array_equal(grid.reshape(rows.shape), rows)
+
+
 def test_gcc_identical_channels_is_unity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(4096)

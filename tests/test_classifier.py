@@ -462,6 +462,17 @@ def _model_edit(draw, payload):
     return payload
 
 
+@pytest.mark.parametrize("seed", [float("inf"), float("-inf")])
+def test_load_model_rejects_an_infinite_seed(tmp_path, model_file, seed):
+    """JSON's Infinity parses to a float that int() cannot convert."""
+    payload = json.loads(model_file.read_text())
+    payload["seed"] = seed
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="cannot convert float infinity"):
+        load_model(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_model_fuzz_loads_or_raises_model_format_error(model_file, tmp_path_factory, data):
