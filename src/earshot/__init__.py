@@ -12,7 +12,6 @@ from ._backend import BACKEND
 from .audio import (
     ArrayGeometry,
     AudioClip,
-    hann_window,
     load_geometry,
     load_wav,
     save_geometry,
@@ -70,7 +69,6 @@ __all__ = [
     "extract_feature",
     "extract_samples",
     "gcc_phat_cross",
-    "hann_window",
     "load_features",
     "load_geometry",
     "load_manifest",

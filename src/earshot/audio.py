@@ -165,20 +165,6 @@ def check_mic_count(clip: AudioClip, geometry: ArrayGeometry, wav_path, geometry
                          f"{geometry_path} has {geometry.n_mics} microphones")
 
 
-def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window w[k] = 0.5 * (1 - cos(2 pi k / n)).
-
-    The degenerate n = 1 window is defined as [1.0] so single-sample frames
-    pass through unscaled.
-    """
-    if n < 1:
-        raise ValueError("window length must be >= 1")
-    if n == 1:
-        return np.ones(1)
-    k = np.arange(n, dtype=np.float64)
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
-
-
 def _read_exact(fh, n, what):
     buf = fh.read(n)
     if len(buf) != n:

@@ -6,6 +6,15 @@ decaying step, best-objective iterate kept.  No sample shuffling is involved,
 so training on the same data twice yields byte-identical models.  (Mapping to
 the liblinear convention: C = 1 / (2 * lambda * n).)
 
+One solver loop fits every machine of every training set it is given: the
+weights form a (sets, classes, dim) stack, so each of its 400 steps costs a
+few array operations whatever the number of machines.  Sets shorter than the
+longest are padded with rows whose target is 0, which drop out of the hinge
+sum and the gradient, and each set's mean divides by its own sample count.
+Each iterate's margins serve both its objective and the next subgradient.
+``train`` fits one set; ``train_many`` fits the k training folds of a
+cross-validation in one call.
+
 Decision values turn into probabilities through per-class Platt sigmoids, fit
 on the training decision values by the standard Newton procedure, then
 normalized to sum to one.
@@ -79,50 +88,60 @@ class SvmModel:
         }
 
 
+_MIN_STD = 1e-12  # smaller feature spreads standardize with 1.0 instead
+
+
 def _standardize_fit(x: np.ndarray):
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
+    std = np.where(std < _MIN_STD, 1.0, std)
     return mean, std
 
 
-def _fit_linear_svm(x: np.ndarray, y: np.ndarray, lam: float):
-    """Full-batch subgradient descent on mean hinge + lam * ||w||^2, 400 steps.
+_STEPS = 400
 
-    Returns the best iterate and the best-so-far objective trace, which is
+
+def _fit_linear_svms(z: np.ndarray, y: np.ndarray, counts: np.ndarray, lam: float):
+    """Full-batch subgradient descent on mean hinge + lam * ||w||^2, 400 steps,
+    for every (set, class) machine at once.
+
+    z is the (sets, rows, dim) features; y is the (sets, classes, rows) +-1
+    target, 0 on a set's padding rows; counts is each set's real row count.
+    Returns the best iterate's weights (sets, classes, dim) and biases (sets,
+    classes), and the best-so-far objective traces (steps + 1, sets, classes),
     non-increasing by construction.
     """
-    n, d = x.shape
+    sets, classes, _ = y.shape
     lam2 = 2.0 * lam
-    radius = 1.0 / np.sqrt(lam2) if lam2 > 0 else np.inf
-    w = np.zeros(d)
-    b = 0.0
-
-    def objective(wv, bv):
-        margins = y * (x @ wv + bv)
-        hinge = np.maximum(0.0, 1.0 - margins).mean()
-        return hinge + lam * float(wv @ wv)
-
-    best_obj = objective(w, b)
-    best_w, best_b = w.copy(), b
-    trace = [best_obj]
-    for t in range(1, 401):
-        margins = y * (x @ w + b)
-        active = margins < 1.0
-        grad_w = lam2 * w - (y[active] @ x[active]) / n
-        grad_b = -y[active].sum() / n
-        step = 1.0 / (lam2 * (t + 2))
+    radius = 1.0 / np.sqrt(lam2)
+    zt = z.transpose(0, 2, 1).copy()
+    valid = np.abs(y[:, :1])  # (sets, 1, rows): 1 on real rows, 0 on padding
+    n = counts[:, None]
+    w = np.zeros((sets, classes, z.shape[2]))
+    b = np.zeros((sets, classes))
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = np.full((sets, classes), np.inf)
+    traces = np.empty((_STEPS + 1, sets, classes))
+    for t in range(_STEPS + 1):
+        margins = y * (w @ zt + b[..., None])
+        hinge = np.maximum(valid - margins, 0.0).sum(axis=-1) / n
+        obj = hinge + lam * np.einsum("pcd,pcd->pc", w, w)
+        better = obj < best_obj
+        best_obj = np.where(better, obj, best_obj)
+        np.copyto(best_w, w, where=better[..., None])
+        np.copyto(best_b, b, where=better)
+        traces[t] = best_obj
+        if t == _STEPS:
+            break
+        coef = np.where(margins < 1.0, y, 0.0)  # the active rows' targets
+        grad_w = lam2 * w - (coef @ z) / n[..., None]
+        grad_b = -coef.sum(axis=-1) / n
+        step = 1.0 / (lam2 * (t + 3))  # step k = t + 1 is 1 / (2 lam (k + 2))
         w = w - step * grad_w
         b = b - step * grad_b
-        norm = np.linalg.norm(w)
-        if norm > radius:
-            w *= radius / norm
-        obj = objective(w, b)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b
-        trace.append(best_obj)
-    return best_w, best_b, trace
+        norm = np.sqrt(np.einsum("pcd,pcd->pc", w, w))
+        w *= (radius / np.maximum(norm, radius))[..., None]  # 1.0 inside the ball
+    return best_w, best_b, traces
 
 
 def _by_sign(z: np.ndarray, nonneg, neg) -> np.ndarray:
@@ -193,51 +212,67 @@ def train(samples, lam: float = 1.0, seed: int = 0) -> SvmModel:
     The seed is recorded in the model for provenance; the solver itself is
     deterministic and does not consume randomness.
     """
-    samples = list(samples)
+    return train_many([samples], lam, [seed])[0]
+
+
+def train_many(sample_sets, lam: float, seeds) -> list:
+    """``train`` on each of several sample sets, one model per set and seed,
+    with every set's machines fitted in one solver loop.
+
+    Each set is standardized, fitted and calibrated on its own samples only,
+    so its model is the one ``train`` gives for it alone, up to the rounding
+    of the stacked sums.  Every sample of every set must have one feature
+    dimension.
+    """
+    sets = [list(samples) for samples in sample_sets]
+    seeds = list(seeds)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if len(samples) < 2:
-        raise ValueError("need at least 2 training samples")
-    labels = {s.label for s in samples}
-    if len(labels) < 2:
-        raise ValueError("training data must contain at least 2 distinct labels")
-    dims = {s.feature.flat.size for s in samples}
+    if len(seeds) != len(sets):
+        raise ValueError(f"{len(sets)} sample sets but {len(seeds)} seeds")
+    for samples in sets:
+        if len(samples) < 2:
+            raise ValueError("need at least 2 training samples")
+        if len({s.label for s in samples}) < 2:
+            raise ValueError("training data must contain at least 2 distinct labels")
+    dims = {s.feature.flat.size for samples in sets for s in samples}
     if len(dims) != 1:
         raise ValueError(f"inconsistent feature dimensions in training data: {sorted(dims)}")
 
-    x = np.stack([s.feature.flat for s in samples])
-    mean, std = _standardize_fit(x)
-    z = (x - mean) / std
+    counts = np.array([len(samples) for samples in sets])
+    dim, n_classes = dims.pop(), len(CLASS_ORDER)
+    scalers = []
+    z = np.zeros((len(sets), counts.max(), dim))
+    y = np.zeros((len(sets), n_classes, counts.max()))
+    for p, samples in enumerate(sets):
+        x = np.stack([s.feature.flat for s in samples])
+        mean, std = _standardize_fit(x)
+        scalers.append((mean, std))
+        z[p, : len(samples)] = (x - mean) / std
+        labels = np.array([s.label for s in samples])
+        y[p, :, : len(samples)] = np.where(labels == np.array(CLASS_ORDER)[:, None], 1.0, -1.0)
+    weights, biases, traces = _fit_linear_svms(z, y, counts, lam)
 
-    n_classes = len(CLASS_ORDER)
-    weights = np.zeros((n_classes, x.shape[1]))
-    biases = np.zeros(n_classes)
-    calib_a = np.zeros(n_classes)
-    calib_b = np.zeros(n_classes)
-    history = []
-    for c, label in enumerate(CLASS_ORDER):
-        y = np.where(np.array([s.label for s in samples]) == label, 1.0, -1.0)
-        w, b, trace = _fit_linear_svm(z, y, lam)
-        weights[c] = w
-        biases[c] = b
-        history.append(trace)
-        scores = z @ w + b
-        calib_a[c], calib_b[c] = _fit_platt(scores, y > 0)
-
-    config = samples[0].feature.config.to_dict()
-    return SvmModel(
-        weights=weights,
-        biases=biases,
-        scaler_mean=mean,
-        scaler_std=std,
-        calib_a=calib_a,
-        calib_b=calib_b,
-        lam=lam,
-        seed=seed,
-        feature_dim=x.shape[1],
-        config=config,
-        objective_history=history,
-    )
+    models = []
+    for p, (samples, (mean, std)) in enumerate(zip(sets, scalers)):
+        calib = np.zeros((2, n_classes))
+        for c in range(n_classes):
+            scores = z[p, : len(samples)] @ weights[p, c] + biases[p, c]
+            calib[:, c] = _fit_platt(scores, y[p, c, : len(samples)] > 0)
+        models.append(SvmModel(
+            weights=weights[p],
+            biases=biases[p],
+            scaler_mean=mean,
+            scaler_std=std,
+            calib_a=calib[0],
+            calib_b=calib[1],
+            lam=lam,
+            seed=seeds[p],
+            feature_dim=dim,
+            config=samples[0].feature.config.to_dict(),
+            objective_history=[traces[:, p, c].tolist() for c in range(n_classes)],
+        ))
+    return models
 
 
 def decision_values(model: SvmModel, flat: np.ndarray) -> np.ndarray:
@@ -290,8 +325,11 @@ def load_model(path) -> SvmModel:
     version, a missing key, a class order other than CLASS_ORDER, a config
     that does not parse or does not match its ``config_hash``, an array of
     the wrong shape ((classes, feature_dim) weights, (classes,) biases and
-    calibration, (feature_dim,) scaler), a non-finite value, or a
-    scaler_std <= 0.
+    calibration, (feature_dim,) scaler), a non-finite value, a
+    scaler_std <= 0 or below 1e-12 (``train`` never writes one), or numbers
+    that make ``predict`` overflow on some feature in [0, 1]^dim: the bound
+    |a_c| (sum_d |w_cd| (1 + |mean_d|) / std_d + |b_c|) + |b'_c| on the Platt
+    argument must be finite.
     """
     with open(path) as fh:
         try:
@@ -337,4 +375,15 @@ def load_model(path) -> SvmModel:
         arrays[key] = value
     if np.any(arrays["scaler_std"] <= 0):
         raise ModelFormatError(f"{path}: scaler_std must be positive")
+    if np.any(arrays["scaler_std"] < _MIN_STD):
+        raise ModelFormatError(f"{path}: scaler_std must be at least {_MIN_STD}")
+    # The largest |a * s + b| that predict can reach on features in [0, 1]^dim,
+    # the range of srp_phat energies; an infinite or NaN bound would overflow.
+    size = {key: np.abs(value) for key, value in arrays.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = size["weights"] @ ((1.0 + size["scaler_mean"]) / size["scaler_std"]) + size["biases"]
+        bound = size["calib_a"] * scores + size["calib_b"]
+    if not np.all(np.isfinite(bound)):
+        raise ModelFormatError(f"{path}: weights, biases, scaler and calibration "
+                               "make predict overflow")
     return SvmModel(**arrays, lam=lam, seed=seed, feature_dim=dim, config=payload["config"])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio import AudioClip, load_geometry, load_wav
 from .beamform import DoaResponse
-from .classifier import CLASS_ORDER, doa_baseline, predict, train
+from .classifier import CLASS_ORDER, doa_baseline, predict, train_many
 from .dataset import FRONT_OFFSET, ManifestEntry, extract_manifest, stratified_folds
 from .features import PipelineConfig, augment_training_set, extract_feature
 from .util import csv_text, derive_seed
@@ -153,19 +153,23 @@ def evaluate_model(model, samples) -> ConfusionMatrix:
     return cm
 
 
-def _run_fold(train_set, test_set, lam: float, seed: int, augment: bool) -> FoldResult:
-    """Train on one side (mirrored first when augmenting) and score the other."""
+def _run_folds(train_sets, test_sets, lam: float, seeds, augment: bool) -> list:
+    """Train on each training set (mirrored first when augmenting), all in
+    one solver call, and score each model on its test set."""
     if augment:
-        train_set = augment_training_set(train_set)
-    model = train(train_set, lam=lam, seed=seed)
-    cm = evaluate_model(model, test_set)
-    return FoldResult(
-        accuracy=accuracy(cm),
-        n_train=len(train_set),
-        n_test=len(test_set),
-        confusion=cm,
-        test_recordings=[s.meta.recording_id for s in test_set],
-    )
+        train_sets = [augment_training_set(t) for t in train_sets]
+    models = train_many(train_sets, lam, seeds)
+    results = []
+    for model, train_set, test_set in zip(models, train_sets, test_sets):
+        cm = evaluate_model(model, test_set)
+        results.append(FoldResult(
+            accuracy=accuracy(cm),
+            n_train=len(train_set),
+            n_test=len(test_set),
+            confusion=cm,
+            test_recordings=[s.meta.recording_id for s in test_set],
+        ))
+    return results
 
 
 def cross_validate(samples, k: int = 5, lam: float = 1.0, seed: int = 0,
@@ -176,13 +180,12 @@ def cross_validate(samples, k: int = 5, lam: float = 1.0, seed: int = 0,
         raise ValueError("cross_validate expects unaugmented samples; augmentation "
                          "is applied to the training folds internally")
     folds = stratified_folds(samples, k, seed=derive_seed(seed, "folds"))
+    train_sets = [[s for j, f in enumerate(folds) if j != i for s in f] for i in range(len(folds))]
+    seeds = [derive_seed(seed, f"train-fold{i}") for i in range(len(folds))]
+    fold_results = _run_folds(train_sets, folds, lam, seeds, augment)
     pooled = ConfusionMatrix()
-    fold_results = []
-    for i, test_fold in enumerate(folds):
-        train_set = [s for j, f in enumerate(folds) if j != i for s in f]
-        fold = _run_fold(train_set, test_fold, lam, derive_seed(seed, f"train-fold{i}"), augment)
+    for fold in fold_results:
         pooled.merge(fold.confusion)
-        fold_results.append(fold)
     return _report_from_confusion(pooled, fold_results)
 
 
@@ -196,8 +199,8 @@ def generalization_eval(train_samples, test_samples, lam: float = 1.0, seed: int
     shared = train_ids & test_ids
     if shared:
         raise ValueError(f"recordings appear on both sides: {sorted(shared)[:5]}")
-    fold = _run_fold(train_samples, test_samples, lam,
-                     derive_seed(seed, "train-generalization"), augment)
+    [fold] = _run_folds([train_samples], [test_samples], lam,
+                        [derive_seed(seed, "train-generalization")], augment)
     return _report_from_confusion(fold.confusion, [fold])
 
 

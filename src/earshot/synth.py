@@ -79,17 +79,6 @@ def _blocked_matrix(walls: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarr
     return hit
 
 
-def line_of_sight(walls, p, q) -> bool:
-    """True when the open segment between two points crosses no wall.
-
-    Grazing a wall endpoint counts as blocked.
-    """
-    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
-    p = np.asarray(p, dtype=np.float64).reshape(1, 2)
-    q = np.asarray(q, dtype=np.float64).reshape(1, 2)
-    return not bool(_blocked_matrix(walls, p, q).any())
-
-
 def _mirror_points(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reflect points across the infinite line through wall endpoints a, b."""
     u = b - a
@@ -97,28 +86,6 @@ def _mirror_points(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     n = np.array([-u[1], u[0]])
     dist = (points - a) @ n
     return points - 2.0 * dist[:, None] * n
-
-
-def image_sources(walls, source) -> list:
-    """First-order image of the source in every wall, as (point, wall_index)."""
-    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
-    source = np.asarray(source, dtype=np.float64).reshape(1, 2)
-    return [
-        (_mirror_points(source, walls[w, 0], walls[w, 1])[0], w)
-        for w in range(walls.shape[0])
-    ]
-
-
-def specular_valid(walls, wall_index: int, source, receiver) -> bool:
-    """Whether the first-order reflection path via one wall exists.
-
-    Requires source and receiver strictly on the same side, the reflection
-    point inside the wall segment, and both legs clear of every other wall.
-    """
-    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
-    source = np.asarray(source, dtype=np.float64).reshape(1, 2)
-    receiver = np.asarray(receiver, dtype=np.float64).reshape(1, 2)
-    return bool(_specular_valid(walls, wall_index, source, receiver)[0, 0])
 
 
 def _specular_valid(walls, wall_index, src, receivers) -> np.ndarray:

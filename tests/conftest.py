@@ -69,6 +69,12 @@ def bench_b_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def bench_b_flat(bench_b_dir, default_config):
+    """All labeled samples of the open-junction corpus."""
+    return [s for e in load_manifest(bench_b_dir) for s in extract_samples(e, default_config)]
+
+
+@pytest.fixture(scope="session")
 def bench_model(bench_flat):
     from earshot.classifier import train
     from earshot.features import augment_training_set

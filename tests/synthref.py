@@ -1,5 +1,5 @@
-"""Independent reference renderer, correlation oracle and feature chain for
-the tests.
+"""Independent reference renderer, correlation oracle, feature chain and SVM
+solver for the tests.
 
 Deliberately minimal and separate from the package's own simulator: a
 far-field plane wave is just the same noise waveform resampled onto each
@@ -10,15 +10,72 @@ The feature chain is the direct form of the package's analysis: a
 time-domain Hann multiply before each ``rfft``, one PHAT divide per
 microphone pair, one steering-delay call per azimuth, and the steered sum
 written out with complex exponentials.
+
+The SVM oracle is the per-class form of ``classifier``'s solver: one machine
+at a time, its margins computed twice per step, once for the objective and
+once for the next subgradient.
+
+The scalar geometry helpers (``line_of_sight``, ``image_sources``,
+``specular_valid``) and ``hann_window`` are the one-point forms of the
+renderer's batched occlusion and reflection tests and of the window that
+``stft`` applies as three spectral lines.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from earshot.audio import hann_window
+from earshot.classifier import CLASS_ORDER, _fit_platt
 from earshot.stft import StftStack, band_select
+from earshot.synth import _blocked_matrix, _mirror_points, _specular_valid
 
 SPEED_OF_SOUND = 343.0
+
+
+def hann_window(n: int) -> np.ndarray:
+    """Periodic Hann window w[k] = 0.5 * (1 - cos(2 pi k / n)).
+
+    The degenerate n = 1 window is defined as [1.0] so single-sample frames
+    pass through unscaled.
+    """
+    if n < 1:
+        raise ValueError("window length must be >= 1")
+    if n == 1:
+        return np.ones(1)
+    k = np.arange(n, dtype=np.float64)
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * k / n))
+
+
+def line_of_sight(walls, p, q) -> bool:
+    """True when the open segment between two points crosses no wall.
+
+    Grazing a wall endpoint counts as blocked.
+    """
+    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
+    p = np.asarray(p, dtype=np.float64).reshape(1, 2)
+    q = np.asarray(q, dtype=np.float64).reshape(1, 2)
+    return not bool(_blocked_matrix(walls, p, q).any())
+
+
+def image_sources(walls, source) -> list:
+    """First-order image of the source in every wall, as (point, wall_index)."""
+    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
+    source = np.asarray(source, dtype=np.float64).reshape(1, 2)
+    return [
+        (_mirror_points(source, walls[w, 0], walls[w, 1])[0], w)
+        for w in range(walls.shape[0])
+    ]
+
+
+def specular_valid(walls, wall_index: int, source, receiver) -> bool:
+    """Whether the first-order reflection path via one wall exists.
+
+    Requires source and receiver strictly on the same side, the reflection
+    point inside the wall segment, and both legs clear of every other wall.
+    """
+    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
+    source = np.asarray(source, dtype=np.float64).reshape(1, 2)
+    receiver = np.asarray(receiver, dtype=np.float64).reshape(1, 2)
+    return bool(_specular_valid(walls, wall_index, source, receiver)[0, 0])
 
 
 def plane_wave_delays(positions, azimuth_deg, c=SPEED_OF_SOUND):
@@ -79,3 +136,61 @@ def extract_feature_reference(clip, geometry, config):
                             stack.frame_len, stack.hop, stack.bin_indices)
         rows.append(srp_phat_reference(segment, geometry, config.grid))
     return np.stack(rows)
+
+
+def fit_linear_svm_reference(x, y, lam):
+    """Full-batch subgradient descent on mean hinge + lam * ||w||^2, 400 steps,
+    for one machine.
+
+    Returns the best iterate and the best-so-far objective trace, which is
+    non-increasing by construction.
+    """
+    n, d = x.shape
+    lam2 = 2.0 * lam
+    radius = 1.0 / np.sqrt(lam2) if lam2 > 0 else np.inf
+    w = np.zeros(d)
+    b = 0.0
+
+    def objective(wv, bv):
+        margins = y * (x @ wv + bv)
+        hinge = np.maximum(0.0, 1.0 - margins).mean()
+        return hinge + lam * float(wv @ wv)
+
+    best_obj = objective(w, b)
+    best_w, best_b = w.copy(), b
+    trace = [best_obj]
+    for t in range(1, 401):
+        margins = y * (x @ w + b)
+        active = margins < 1.0
+        grad_w = lam2 * w - (y[active] @ x[active]) / n
+        grad_b = -y[active].sum() / n
+        step = 1.0 / (lam2 * (t + 2))
+        w = w - step * grad_w
+        b = b - step * grad_b
+        norm = np.linalg.norm(w)
+        if norm > radius:
+            w *= radius / norm
+        obj = objective(w, b)
+        if obj < best_obj:
+            best_obj = obj
+            best_w, best_b = w.copy(), b
+        trace.append(best_obj)
+    return best_w, best_b, trace
+
+
+def train_reference(samples, lam):
+    """``classifier.train``'s numbers from the per-class loop above: weights,
+    biases, Platt parameters (a, b) and objective traces, one row per class."""
+    x = np.stack([s.feature.flat for s in samples])
+    std = x.std(axis=0)
+    z = (x - x.mean(axis=0)) / np.where(std < 1e-12, 1.0, std)
+    labels = np.array([s.label for s in samples])
+    weights, biases, calib, traces = [], [], [], []
+    for label in CLASS_ORDER:
+        y = np.where(labels == label, 1.0, -1.0)
+        w, b, trace = fit_linear_svm_reference(z, y, lam)
+        weights.append(w)
+        biases.append(b)
+        calib.append(_fit_platt(z @ w + b, y > 0))
+        traces.append(trace)
+    return np.array(weights), np.array(biases), np.array(calib), traces

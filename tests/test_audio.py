@@ -21,7 +21,6 @@ from earshot.audio import (
     UnsupportedEncodingError,
     WavError,
     WavFormatError,
-    hann_window,
     load_geometry,
     load_wav,
     save_geometry,
@@ -30,7 +29,7 @@ from earshot.audio import (
 )
 from earshot.cli import main
 from earshot.synth import random_planar_array
-from synthref import render_plane_wave
+from synthref import hann_window, render_plane_wave
 
 EXTENSIBLE = 0xFFFE
 ENCODINGS = {"pcm16": (1, 16), "pcm24": (1, 24), "float32": (3, 32)}

@@ -19,9 +19,20 @@ from earshot.classifier import (
     predict,
     save_model,
     train,
+    train_many,
 )
-from earshot.features import DoaFeature, LabeledSample, PipelineConfig, SampleMeta, mirror
-from earshot.util import config_hash
+from earshot.dataset import stratified_folds
+from earshot.features import (
+    DoaFeature,
+    LabeledSample,
+    PipelineConfig,
+    SampleMeta,
+    augment_training_set,
+    mirror,
+)
+from earshot.util import config_hash, derive_seed
+from synthref import train_reference
+from test_evaluate import blob_corpus
 
 CFG = PipelineConfig()
 
@@ -121,6 +132,76 @@ def test_objective_trace_is_non_increasing():
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-12)
         assert trace[-1] <= trace[0]
+
+
+@st.composite
+def _training_sets(draw):
+    """One to four sets of 2 to 24 random samples, each with two labels or
+    more, so one batch mixes set sizes."""
+    sets = []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 24))
+        labels = draw(st.lists(st.sampled_from(CLASS_ORDER), min_size=n, max_size=n)
+                      .filter(lambda v: len(set(v)) > 1))
+        m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 1.0, (n, 2, 30))
+        sets.append([LabeledSample(DoaFeature(m[i], CFG), label, SampleMeta(f"s{k}_{i}"))
+                     for i, label in enumerate(labels)])
+    return sets
+
+
+@settings(max_examples=20, deadline=None)
+@given(sets=_training_sets(), lam=st.sampled_from([1.0, 0.01]))
+def test_stacked_solver_traces_match_the_per_class_oracle(sets, lam):
+    """Every machine of a mixed-size batch follows the per-class loop's
+    best-so-far objective step by step, to 1e-12 of its starting value (the
+    objective at w = 0, b = 0, which is 1).  Relative to each step's own value
+    would not do: a machine with no positive samples drives its objective to
+    rounding noise near 1e-31."""
+    models = train_many(sets, lam, range(len(sets)))
+    for model, samples in zip(models, sets):
+        *_, traces = train_reference(samples, lam)
+        for got, want in zip(model.objective_history, traces):
+            assert len(got) == len(want) == 401 and got[0] == want[0] == 1.0
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def _assert_matches_reference(model, samples, lam):
+    weights, biases, calib, _ = train_reference(samples, lam)
+    for got, want in ((model.weights, weights), (model.biases, biases),
+                      (np.stack([model.calib_a, model.calib_b], axis=1), calib)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _cv_training_sets(samples, k):
+    folds = stratified_folds(samples, k, seed=derive_seed(0, "folds"))
+    return [augment_training_set([s for j, f in enumerate(folds) if j != i for s in f])
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.01])
+@pytest.mark.parametrize("corpus,k", [("blobs", 5), ("bench_flat", 3), ("bench_b_flat", 2)])
+def test_stacked_solver_models_match_the_per_class_oracle(request, corpus, k, lam):
+    """Weights, biases and Platt parameters of train, and of train_many over
+    the augmented training folds of a k-fold split, agree with the per-class
+    loop to 1e-12 of the largest reference value."""
+    samples = blob_corpus(10) if corpus == "blobs" else request.getfixturevalue(corpus)
+    augmented = augment_training_set(samples)
+    _assert_matches_reference(train(augmented, lam=lam), augmented, lam)
+    sets = _cv_training_sets(samples, k)
+    for model, train_set in zip(train_many(sets, lam, range(k)), sets):
+        _assert_matches_reference(model, train_set, lam)
+
+
+def test_train_many_checks_every_set():
+    samples = blob_set(per_class=5)
+    with pytest.raises(ValueError, match="seeds"):
+        train_many([samples, samples], 1.0, [0])
+    with pytest.raises(ValueError, match="2 distinct labels"):
+        train_many([samples, [s for s in samples if s.label == "left"]], 1.0, [0, 1])
+    short = [LabeledSample(DoaFeature(np.zeros((2, 10)), PipelineConfig(bins=10)), label,
+                           SampleMeta(f"x{i}")) for i, label in enumerate(CLASS_ORDER)]
+    with pytest.raises(ValueError, match="inconsistent feature dimensions"):
+        train_many([samples, short], 1.0, [0, 1])
 
 
 def test_train_input_validation():
@@ -314,6 +395,22 @@ def _negative_std(p):
     p["scaler_std"][0] = -1.0
 
 
+def _huge_weight(p):
+    p["weights"][1][3] = 1.7e308
+
+
+def _huge_bias(p):
+    p["biases"][2] = 1.7e308
+
+
+def _huge_calib_a(p):
+    p["calib_a"][0] = 1.7e308
+
+
+def _denormal_std(p):
+    p["scaler_std"][5] = 5e-324
+
+
 def _edited_config(p):
     p["config"]["f_max"] = 1400.0  # the stored config_hash is the old one
 
@@ -366,6 +463,11 @@ MODEL_EDITS = {
     "inf": (_inf, "non-finite"),
     "zero-std": (_zero_std, "scaler_std must be positive"),
     "negative-std": (_negative_std, "scaler_std must be positive"),
+    # finite numbers that would make predict overflow
+    "huge-weight": (_huge_weight, "make predict overflow"),
+    "huge-bias": (_huge_bias, "make predict overflow"),
+    "huge-calib-a": (_huge_calib_a, "make predict overflow"),
+    "denormal-std": (_denormal_std, "scaler_std must be at least 1e-12"),
     "config-hash": (_edited_config, "config_hash"),
     "config-key": (_config_without_hop, "hop"),
     "truncated": (None, "not JSON"),
@@ -409,23 +511,37 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), config=_model_config(), lam=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
-def test_model_file_round_trip(tmp_path_factory, data, config, lam, seed):
-    """save_model then load_model gives back every number exactly."""
+@given(data=st.data(), config=_model_config(), lam=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1),
+       tame=st.booleans())
+def test_model_file_round_trip(tmp_path_factory, data, config, lam, seed, tame):
+    """save_model writes every number exactly, and load_model gives them all
+    back.  Tame numbers (|v| <= 1e50, scaler_std >= 1e-12) always load; over
+    the whole finite range a model may instead be refused as one that would
+    make predict overflow, with ModelFormatError."""
     n, dim = len(CLASS_ORDER), config.feature_dim
+    values = st.floats(-1e50, 1e50) if tame else finite
+    spread = st.floats(1e-12, 1e50) if tame else st.floats(1e-300, 1e300)
     model = SvmModel(
-        weights=data.draw(arrays(np.float64, (n, dim), elements=finite)),
-        biases=data.draw(arrays(np.float64, n, elements=finite)),
-        scaler_mean=data.draw(arrays(np.float64, dim, elements=finite)),
-        scaler_std=data.draw(arrays(np.float64, dim, elements=st.floats(1e-300, 1e300))),
-        calib_a=data.draw(arrays(np.float64, n, elements=finite)),
-        calib_b=data.draw(arrays(np.float64, n, elements=finite)),
+        weights=data.draw(arrays(np.float64, (n, dim), elements=values)),
+        biases=data.draw(arrays(np.float64, n, elements=values)),
+        scaler_mean=data.draw(arrays(np.float64, dim, elements=values)),
+        scaler_std=data.draw(arrays(np.float64, dim, elements=spread)),
+        calib_a=data.draw(arrays(np.float64, n, elements=values)),
+        calib_b=data.draw(arrays(np.float64, n, elements=values)),
         lam=lam, seed=seed, feature_dim=dim, config=config.to_dict(),
     )
     path = tmp_path_factory.mktemp("rt") / "m.json"
     save_model(model, path, extra={"origin": "round-trip"})
-    back = load_model(path)
-    for key in ("weights", "biases", "scaler_mean", "scaler_std", "calib_a", "calib_b"):
+    keys = ("weights", "biases", "scaler_mean", "scaler_std", "calib_a", "calib_b")
+    stored = json.loads(path.read_text())
+    for key in keys:
+        assert np.array_equal(np.asarray(stored[key]), getattr(model, key)), key
+    try:
+        back = load_model(path)
+    except ModelFormatError:
+        assert not tame
+        return
+    for key in keys:
         assert np.array_equal(getattr(back, key), getattr(model, key)), key
     assert (back.lam, back.seed, back.feature_dim) == (lam, seed, dim)
     assert back.config == model.config and back.class_order == CLASS_ORDER

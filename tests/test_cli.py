@@ -1,12 +1,17 @@
 """End-to-end runs of the command line against a small synthetic corpus."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import earshot
 from earshot import __version__
 from earshot.audio import AudioClip, load_geometry, load_wav, write_wav, save_geometry
 from earshot.beamform import srp_phat
@@ -258,6 +263,31 @@ def test_reruns_are_byte_identical(tmp_path, arts, bench_dir, capsys):
     assert f2.read_bytes() == arts["features"].read_bytes()
     assert m2.read_bytes() == arts["model"].read_bytes()
     capsys.readouterr()
+
+
+def test_train_and_cv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, bench_manifest,
+                                                                   bench_b_dir):
+    """The stacked solver's matrix products are BLAS calls; `earshot train` and
+    `earshot eval --folds 5` with one and with two BLAS threads write the same
+    model and report."""
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(RecordingManifest(list(bench_manifest) + list(load_manifest(bench_b_dir))),
+                  manifest)
+    features = tmp_path / "features.csv"
+    assert main(["extract", str(manifest), "--out", str(features)]) == 0
+    src = str(Path(earshot.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outs = [tmp_path / f"model_{threads}.json", tmp_path / f"report_{threads}.json"]
+        for argv in (["train", str(features), "--out", str(outs[0])],
+                     ["eval", str(features), "--out", str(outs[1]), "--folds", "5"]):
+            subprocess.run([sys.executable, "-c", "import sys; from earshot.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", *argv],
+                           env=env, check=True, capture_output=True)
+        digests.append([hashlib.sha256(p.read_bytes()).hexdigest() for p in outs])
+    assert digests[0] == digests[1]
 
 
 def test_simulate_then_extract_round_trip(tmp_path, capsys):

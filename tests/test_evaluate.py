@@ -6,7 +6,7 @@ import pytest
 from earshot import dataset
 from earshot.audio import AudioClip, load_geometry, load_wav
 from earshot.classifier import train
-from earshot.dataset import extraction_times, load_manifest
+from earshot.dataset import extraction_times, load_manifest, stratified_folds
 from earshot.evaluate import (
     ConfusionMatrix,
     FoldResult,
@@ -191,6 +191,50 @@ def test_generalization_report_equals_the_old_fold_body(seed, augment):
     assert got.to_csv() == want.to_csv()
     # the fold keeps one id per test sample, as the folds of cross_validate do
     assert got.folds[0].test_recordings == [s.meta.recording_id for s in test_set]
+
+
+def _cross_validate_reference(samples, k, lam, seed, augment):
+    """cross_validate as a loop that trains each fold through train on its own."""
+    folds = stratified_folds(samples, k, seed=derive_seed(seed, "folds"))
+    pooled, results = ConfusionMatrix(), []
+    for i, test_fold in enumerate(folds):
+        train_set = [s for j, f in enumerate(folds) if j != i for s in f]
+        if augment:
+            train_set = augment_training_set(train_set)
+        model = train(train_set, lam=lam, seed=derive_seed(seed, f"train-fold{i}"))
+        cm = evaluate_model(model, test_fold)
+        pooled.merge(cm)
+        results.append(FoldResult(accuracy=accuracy(cm), n_train=len(train_set),
+                                  n_test=len(test_fold), confusion=cm,
+                                  test_recordings=[s.meta.recording_id for s in test_fold]))
+    return _report_from_confusion(pooled, results)
+
+
+def _shuffled_corpus(seed):
+    """Blobs whose labels are shuffled, so the folds misclassify and the
+    reports hold more than accuracy 1.0."""
+    rng = np.random.default_rng(derive_seed(seed, "shuffled"))
+    labels = [lab for lab in BUMPS for _ in range(8)]
+    shuffled = list(labels)
+    rng.shuffle(shuffled)
+    return [blob(sl, f"s{i}", derive_seed(seed, f"shuffled:{i}"), bump=BUMPS[tl])
+            for i, (tl, sl) in enumerate(zip(labels, shuffled))]
+
+
+@pytest.mark.parametrize("augment", [True, False])
+@pytest.mark.parametrize("corpus,k,lam,seed", [("blobs", 5, 1.0, 0), ("blobs", 4, 0.01, 7),
+                                               ("shuffled", 5, 0.5, 3), ("shuffled", 3, 1.0, 11),
+                                               ("bench_flat", 4, 1.0, 2)])
+def test_cross_validate_report_equals_a_per_fold_train_loop(request, corpus, k, lam, seed,
+                                                            augment):
+    """Fitting every fold in one train_many call gives the report of training
+    each fold on its own, byte for byte."""
+    samples = {"blobs": lambda: blob_corpus(8), "shuffled": lambda: _shuffled_corpus(seed),
+               "bench_flat": lambda: request.getfixturevalue("bench_flat")}[corpus]()
+    got = cross_validate(samples, k=k, lam=lam, seed=seed, augment=augment)
+    want = _cross_validate_reference(samples, k, lam, seed, augment)
+    assert got.to_dict() == want.to_dict()
+    assert got.to_csv() == want.to_csv()
 
 
 def test_transfer_across_junction_types(bench_samples, bench_b_dir, default_config):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earshot.audio import AudioClip, hann_window
+from earshot.audio import AudioClip
 from earshot.stft import StftStack, band_select, stft
+from synthref import hann_window
 
 
 def dft_oracle(frame):

@@ -24,18 +24,16 @@ from earshot.synth import (
     Scenario,
     SignalSpec,
     SourcePath,
-    image_sources,
-    line_of_sight,
     load_scenario,
     make_benchmark,
     random_planar_array,
     render,
     save_scenario,
-    specular_valid,
     t_junction_scenario,
     t_junction_walls,
 )
 from earshot.util import derive_seed
+from synthref import image_sources, line_of_sight, specular_valid
 
 WALL_X = np.array([[[0.0, -1.0], [0.0, 1.0]]])  # a wall along the z axis
 
