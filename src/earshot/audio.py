@@ -47,6 +47,7 @@ _SUBTYPE_TAIL = bytes.fromhex("0000" "0000" "1000" "800000aa00389b71")
 # through it selects the little-endian 24-bit payload in a single copy.
 _LOW3 = np.dtype({"names": ["low3"], "formats": ["V3"], "offsets": [0], "itemsize": 4})
 _WRITE_FRAMES = 1 << 14  # frames that write_wav encodes at once
+_DECODE_FRAMES = 1 << 12  # pcm24 frames that load_wav decodes at once
 
 
 @dataclass
@@ -300,19 +301,25 @@ def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
     # The interleaved payload seen as (channels, frames).  A pcm24 item is the
     # four bytes that end with its sample: the byte before it (the pad byte
     # for the first), then the sample's three.  As <i4 it is the sample times
-    # 2**8 plus that byte (0 to 255), so scaling by 2**-8 and flooring gives
-    # the sample exactly.  Every step works in place on the result: no other
-    # copy of the span is made, and few calls release the interpreter lock,
-    # which extract's threads would wait on.  The result is a fresh C-ordered
-    # array; a ufunc left to itself would follow the strided input into F
-    # order, and every window read after would be strided.
+    # 2**8 plus that byte (0 to 255), so an arithmetic shift right by 8 gives
+    # the sample exactly.  The span is decoded _DECODE_FRAMES columns at a
+    # time: each chunk is shifted into one small reused int32 buffer that
+    # stays in cache, then scaled by 2**-23 straight into the result, so the
+    # result is written once and no other copy of the span is made.  The
+    # result is a fresh C-ordered array; a ufunc left to itself would follow
+    # the strided input into F order, and every window read after would be
+    # strided.
     frames = np.ndarray(
         (n_channels, n_frames), dtype, buffer=data, strides=(width, width * n_channels)
     )
     if bits == 24:
-        samples = np.multiply(frames, 2.0**-8, order="C")
-        np.floor(samples, out=samples)
-        samples *= 2.0**-23
+        samples = np.empty((n_channels, n_frames))
+        shifted = np.empty((n_channels, min(n_frames, _DECODE_FRAMES)), dtype=np.int32)
+        for begin in range(0, n_frames, _DECODE_FRAMES):
+            end = min(begin + _DECODE_FRAMES, n_frames)
+            chunk = shifted[:, : end - begin]
+            np.right_shift(frames[:, begin:end], 8, out=chunk)
+            np.multiply(chunk, 2.0**-23, out=samples[:, begin:end])
     elif bits == 16:
         samples = np.multiply(frames, 2.0**-15, order="C")
     else:

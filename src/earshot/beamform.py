@@ -19,6 +19,12 @@ spectra of all pairs are then one batched matrix product per bin.  The guard
 against dividing by zero applies per channel rather than per pair: an
 all-zero cell stays exactly zero under either rule, and the two rules differ
 only in cells where 0 < |X| < 1e-12.
+
+``srp_phat_segments`` scans consecutive frame ranges of one stack, the L
+segments of a feature window: it whitens the stack and sets up the pair
+indices, steering-delay differences and angular frequencies once, so each
+range costs one batched Gram product and one ``steered_power`` call.
+``srp_phat`` is its one-range case.
 """
 
 from __future__ import annotations
@@ -108,6 +114,20 @@ def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None
     """Scan the azimuth grid with PHAT-weighted steered response power."""
     if grid is None:
         grid = AzimuthGrid()
+    return DoaResponse(srp_phat_segments(stack, geometry, grid, (0, stack.n_frames))[0], grid)
+
+
+def srp_phat_segments(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid,
+                      edges) -> np.ndarray:
+    """``srp_phat`` energies of consecutive frame ranges, one row per range.
+
+    ``edges`` holds increasing frame indices e_0 < e_1 < ... < e_L, and row s
+    scans frames [e_s, e_s+1).  The stack is whitened once, and the pair
+    indices, steering-delay differences and angular frequencies are set up
+    once; each range then costs one batched Gram product of its frames and
+    one ``steered_power`` call.  Row s holds the bits that ``srp_phat`` gives
+    for the stack cut down to that range.
+    """
     m = stack.channels
     if m < 2:
         raise ValueError("beamforming needs at least 2 channels")
@@ -117,23 +137,33 @@ def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None
         )
     if stack.n_frames < 1 or stack.n_bins < 1:
         raise ValueError("empty spectrogram stack")
+    edges = [int(e) for e in edges]
+    if len(edges) < 2 or edges[0] < 0 or edges[-1] > stack.n_frames or any(
+        stop <= start for start, stop in zip(edges, edges[1:])
+    ):
+        raise ValueError(f"frame edges {edges} must increase within [0, {stack.n_frames}]")
 
     left, right = np.triu_indices(m, 1)
     u = _whiten(stack.data.transpose(2, 0, 1))  # (bins, channels, frames)
-    g_sum = (u @ u.conj().transpose(0, 2, 1))[:, left, right].T  # (pairs, bins)
-
+    u_conj = u.conj()
     delays = steering_delays(geometry, grid.bin_centers)
     tau = delays[:, left] - delays[:, right]
     omega = 2.0 * np.pi * stack.bin_freqs
 
-    r = _backend.kernels.steered_power(
-        np.ascontiguousarray(g_sum.real),
-        np.ascontiguousarray(g_sum.imag),
-        tau,
-        omega,
-    )
-    norm = left.size * stack.n_frames * stack.n_bins
-    return DoaResponse(np.maximum(r, 0.0) / norm, grid)
+    energies = np.empty((len(edges) - 1, grid.n_bins))
+    for row, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        frames = slice(start, stop)
+        gram = u[:, :, frames] @ u_conj[:, :, frames].transpose(0, 2, 1)
+        g_sum = gram[:, left, right].T  # (pairs, bins)
+        r = _backend.kernels.steered_power(
+            np.ascontiguousarray(g_sum.real),
+            np.ascontiguousarray(g_sum.imag),
+            tau,
+            omega,
+        )
+        norm = left.size * (stop - start) * stack.n_bins
+        energies[row] = np.maximum(r, 0.0) / norm
+    return energies
 
 
 def argmax_doa(response: DoaResponse) -> float:

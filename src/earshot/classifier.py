@@ -17,7 +17,9 @@ cross-validation in one call.
 
 Decision values turn into probabilities through per-class Platt sigmoids, fit
 on the training decision values by the standard Newton procedure, then
-normalized to sum to one.
+normalized to sum to one.  One Newton loop fits the sigmoids of all classes
+of a training set; each row's sums run over that row alone, so every sigmoid
+has the bits of a fit on its own.
 
 The direction-only baseline thresholds the strongest azimuth: left below
 -alpha_th, right above +alpha_th, front in between (boundaries inclusive).
@@ -160,49 +162,70 @@ def _platt_sigmoid(z: np.ndarray) -> np.ndarray:
     return _by_sign(z, lambda v: np.exp(-v) / (1.0 + np.exp(-v)), lambda v: 1.0 / (1.0 + np.exp(v)))
 
 
-def _fit_platt(scores: np.ndarray, positive: np.ndarray):
-    """Platt's sigmoid fit: p = 1 / (1 + exp(a * s + b)), at most 100 Newton
-    steps with backtracking."""
-    n1 = int(positive.sum())
-    n0 = len(positive) - n1
-    hi = (n1 + 1.0) / (n1 + 2.0)
-    lo = 1.0 / (n0 + 2.0)
-    target = np.where(positive, hi, lo)
-    a, b = 0.0, np.log((n0 + 1.0) / (n1 + 1.0))
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dot product of each row of x with the same row of y, as one batched
+    ``matmul`` of (1, n) by (n, 1) blocks: np.dot's sum for each row."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
-    def nll(av, bv):
-        z = av * scores + bv
+
+def _fit_platts(scores: np.ndarray, positive: np.ndarray):
+    """Platt's sigmoid fit p = 1 / (1 + exp(a * s + b)) of each row of the
+    (machines, n) scores against the same row of ``positive``: at most 100
+    Newton steps with backtracking, every machine in one loop.
+
+    Each machine stops on its own, when its gradient vanishes or its line
+    search finds no step, and the loop goes on with the rest.  A row's sums
+    and dot products run over that row alone, so each machine gets the bits
+    it would get fitted alone.  Returns the (machines,) arrays a and b.
+    """
+    n1 = positive.sum(axis=1)
+    n0 = positive.shape[1] - n1
+    target = np.where(positive, ((n1 + 1.0) / (n1 + 2.0))[:, None], (1.0 / (n0 + 2.0))[:, None])
+    a = np.zeros(len(scores))
+    b = np.log((n0 + 1.0) / (n1 + 1.0))
+
+    def nll(s, t, av, bv):
+        z = av[:, None] * s + bv[:, None]
         # log(1 + exp(z)) evaluated stably on both tails
         softplus = _by_sign(z, lambda v: v + np.log1p(np.exp(-v)), lambda v: np.log1p(np.exp(v)))
-        return float(np.sum(target * z + softplus - z))
+        return np.sum(t * z + softplus - z, axis=1)
 
-    err = nll(a, b)
+    live = np.arange(len(scores))  # the machines still iterating
+    s, t = scores, target  # and their rows
+    err = nll(s, t, a, b)
     for _ in range(100):
-        z = a * scores + b
-        p = _platt_sigmoid(z)
-        d1 = target - p
-        grad_a = float(np.dot(scores, d1))
-        grad_b = float(d1.sum())
-        if abs(grad_a) < 1e-10 and abs(grad_b) < 1e-10:
-            break
+        p = _platt_sigmoid(a[live, None] * s + b[live, None])
+        d1 = t - p
+        grad_a, grad_b = _row_dots(s, d1), d1.sum(axis=1)
+        moving = (np.abs(grad_a) >= 1e-10) | (np.abs(grad_b) >= 1e-10)
+        if not moving.all():  # a machine whose gradient vanished stops
+            live, s, t, p, grad_a, grad_b = (v[moving] for v in (live, s, t, p, grad_a, grad_b))
+            if not live.size:
+                break
         d2 = p * (1.0 - p)
-        haa = float(np.dot(scores * scores, d2)) + 1e-12
-        hbb = float(d2.sum()) + 1e-12
-        hab = float(np.dot(scores, d2))
+        haa = _row_dots(s * s, d2) + 1e-12
+        hbb = d2.sum(axis=1) + 1e-12
+        hab = _row_dots(s, d2)
         det = haa * hbb - hab * hab
         da = -(hbb * grad_a - hab * grad_b) / det
         db = -(-hab * grad_a + haa * grad_b) / det
+        # Backtracking: every machine tries the same halving steps until it
+        # accepts one; rows that already accepted are evaluated and ignored.
+        a0, b0, err0 = a[live], b[live], err[live]
+        pending = np.ones(live.size, dtype=bool)
         step = 1.0
-        while step >= 1e-10:
-            new_err = nll(a + step * da, b + step * db)
-            if new_err < err + 1e-12:
-                a += step * da
-                b += step * db
-                err = new_err
-                break
+        while step >= 1e-10 and pending.any():
+            new_a, new_b = a0 + step * da, b0 + step * db
+            new_err = nll(s, t, new_a, new_b)
+            accept = pending & (new_err < err0 + 1e-12)
+            took = live[accept]
+            a[took], b[took], err[took] = new_a[accept], new_b[accept], new_err[accept]
+            pending &= ~accept
             step /= 2.0
-        else:
-            break
+        if pending.any():  # a machine whose line search failed stops
+            live, s, t = (v[~pending] for v in (live, s, t))
+            if not live.size:
+                break
     return a, b
 
 
@@ -255,17 +278,16 @@ def train_many(sample_sets, lam: float, seeds) -> list:
 
     models = []
     for p, (samples, (mean, std)) in enumerate(zip(sets, scalers)):
-        calib = np.zeros((2, n_classes))
-        for c in range(n_classes):
-            scores = z[p, : len(samples)] @ weights[p, c] + biases[p, c]
-            calib[:, c] = _fit_platt(scores, y[p, c, : len(samples)] > 0)
+        n = len(samples)
+        scores = np.stack([z[p, :n] @ weights[p, c] + biases[p, c] for c in range(n_classes)])
+        calib_a, calib_b = _fit_platts(scores, y[p, :, :n] > 0)
         models.append(SvmModel(
             weights=weights[p],
             biases=biases[p],
             scaler_mean=mean,
             scaler_std=std,
-            calib_a=calib[0],
-            calib_b=calib[1],
+            calib_a=calib_a,
+            calib_b=calib_b,
             lam=lam,
             seed=seeds[p],
             feature_dim=dim,

@@ -2,9 +2,10 @@
 
 The trailing delta-t seconds of a recording are analyzed with the STFT, the
 frames are split into L consecutive segments (any remainder goes to the last
-segment, the most recent one) and each segment is beamformed on its own.  The
-resulting L rows of B azimuth energies, oldest first, form the feature; the
-flat vector concatenates the rows segment-major.
+segment, the most recent one) and each segment is beamformed on its own, in
+one scan of the window (``beamform.srp_phat_segments``).  The resulting L
+rows of B azimuth energies, oldest first, form the feature; the flat vector
+concatenates the rows segment-major.
 
 Mirroring reverses each row and swaps the left/right label, which doubles the
 side-labeled training data for bilaterally symmetric scenes.  Augmentation is
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .audio import ArrayGeometry, AudioClip
-from .beamform import AzimuthGrid, srp_phat
+from .beamform import AzimuthGrid, srp_phat_segments
 from .stft import stft
 from .util import config_hash, csv_text, read_csv, write_text
 
@@ -132,9 +133,11 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
     is only read.  One banded STFT call transforms it channel by channel,
     windows it in the frequency domain and keeps only the [f_min, f_max]
     bins, so no frames buffer and no full spectrum of all channels is ever
-    held.  Each segment's scan whitens every channel once and sums the pair
-    cross-spectra over its frames in one batched matrix product
-    (``beamform``).
+    held.  One scan of the stack then whitens every channel and sets up the
+    steering delays once for the whole window; each segment adds one
+    batched matrix product, which sums the pair cross-spectra over its
+    frames, and one steered-power call (``beamform.srp_phat_segments``).
+    Each row equals ``srp_phat`` of the stack cut down to its segment.
     """
     window = clip.trailing(config.sample_len)
     if window.n_samples / config.segments < config.frame_len:
@@ -149,14 +152,8 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
         raise ValueError(f"only {n_frames} frames for {config.segments} segments")
 
     base = n_frames // config.segments
-    grid = config.grid
-    rows = []
-    for seg in range(config.segments):
-        start = seg * base
-        stop = (seg + 1) * base if seg < config.segments - 1 else n_frames
-        segment = replace(stack, data=stack.data[:, start:stop, :])
-        rows.append(srp_phat(segment, geometry, grid).energies)
-    return DoaFeature(np.stack(rows), config)
+    edges = [seg * base for seg in range(config.segments)] + [n_frames]
+    return DoaFeature(srp_phat_segments(stack, geometry, config.grid, edges), config)
 
 
 def mirror(sample: LabeledSample) -> LabeledSample:

@@ -11,9 +11,9 @@ time-domain Hann multiply before each ``rfft``, one PHAT divide per
 microphone pair, one steering-delay call per azimuth, and the steered sum
 written out with complex exponentials.
 
-The SVM oracle is the per-class form of ``classifier``'s solver: one machine
-at a time, its margins computed twice per step, once for the objective and
-once for the next subgradient.
+The SVM oracle is the per-class form of ``classifier``'s solver and Platt
+fit: one machine at a time, its margins computed twice per step, once for the
+objective and once for the next subgradient, and one Newton loop per class.
 
 The scalar geometry helpers (``line_of_sight``, ``image_sources``,
 ``specular_valid``) and ``hann_window`` are the one-point forms of the
@@ -24,7 +24,8 @@ renderer's batched occlusion and reflection tests and of the window that
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from earshot.classifier import CLASS_ORDER, _fit_platt
+from earshot import classifier
+from earshot.classifier import CLASS_ORDER
 from earshot.stft import StftStack, band_select
 from earshot.synth import _blocked_matrix, _mirror_points, _specular_valid
 
@@ -178,6 +179,54 @@ def fit_linear_svm_reference(x, y, lam):
     return best_w, best_b, trace
 
 
+def fit_platt_reference(scores, positive):
+    """Platt's sigmoid fit p = 1 / (1 + exp(a * s + b)) of one machine, at
+    most 100 Newton steps with backtracking.  The tail-safe forms are looked
+    up in ``classifier`` at call time, so patching them there patches them
+    here."""
+    n1 = int(positive.sum())
+    n0 = len(positive) - n1
+    hi = (n1 + 1.0) / (n1 + 2.0)
+    lo = 1.0 / (n0 + 2.0)
+    target = np.where(positive, hi, lo)
+    a, b = 0.0, np.log((n0 + 1.0) / (n1 + 1.0))
+
+    def nll(av, bv):
+        z = av * scores + bv
+        softplus = classifier._by_sign(z, lambda v: v + np.log1p(np.exp(-v)),
+                                       lambda v: np.log1p(np.exp(v)))
+        return float(np.sum(target * z + softplus - z))
+
+    err = nll(a, b)
+    for _ in range(100):
+        z = a * scores + b
+        p = classifier._platt_sigmoid(z)
+        d1 = target - p
+        grad_a = float(np.dot(scores, d1))
+        grad_b = float(d1.sum())
+        if abs(grad_a) < 1e-10 and abs(grad_b) < 1e-10:
+            break
+        d2 = p * (1.0 - p)
+        haa = float(np.dot(scores * scores, d2)) + 1e-12
+        hbb = float(d2.sum()) + 1e-12
+        hab = float(np.dot(scores, d2))
+        det = haa * hbb - hab * hab
+        da = -(hbb * grad_a - hab * grad_b) / det
+        db = -(-hab * grad_a + haa * grad_b) / det
+        step = 1.0
+        while step >= 1e-10:
+            new_err = nll(a + step * da, b + step * db)
+            if new_err < err + 1e-12:
+                a += step * da
+                b += step * db
+                err = new_err
+                break
+            step /= 2.0
+        else:
+            break
+    return a, b
+
+
 def train_reference(samples, lam):
     """``classifier.train``'s numbers from the per-class loop above: weights,
     biases, Platt parameters (a, b) and objective traces, one row per class."""
@@ -191,6 +240,6 @@ def train_reference(samples, lam):
         w, b, trace = fit_linear_svm_reference(z, y, lam)
         weights.append(w)
         biases.append(b)
-        calib.append(_fit_platt(z @ w + b, y > 0))
+        calib.append(fit_platt_reference(z @ w + b, y > 0))
         traces.append(trace)
     return np.array(weights), np.array(biases), np.array(calib), traces

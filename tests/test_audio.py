@@ -587,17 +587,46 @@ def test_load_geometry_rejects_hand_edited_files(tmp_path, case):
 
 def test_pcm24_load_peak_stays_near_the_result(tmp_path):
     """An 8-channel pcm24 load holds the payload, the result and one
-    channel's intermediate at its peak, not a whole-span intermediate."""
+    chunk's intermediate at its peak, not a whole-span intermediate: for the
+    whole file and for a ranged 2.5 s span, the read `earshot extract` makes."""
     rng = np.random.default_rng(4)
     path = tmp_path / "eight.wav"
-    write_wav(AudioClip(rng.uniform(-0.9, 0.9, size=(8, 48000)), 48000), path)
-    tracemalloc.start()
-    try:
-        clip = load_wav(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * clip.samples.nbytes
+    write_wav(AudioClip(rng.uniform(-0.9, 0.9, size=(8, 192000)), 48000), path)
+    for start, stop in ((0, None), (36000, 156000)):
+        tracemalloc.start()
+        try:
+            clip = load_wav(path, start, stop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clip.n_samples == (stop or 192000) - start
+        assert peak < 1.6 * clip.samples.nbytes
+
+
+_DECODE = audio._DECODE_FRAMES
+
+
+@pytest.mark.parametrize("channels", [1, 9])
+@pytest.mark.parametrize("span", [_DECODE - 1, _DECODE, _DECODE + 1, 2 * _DECODE + 1])
+@pytest.mark.parametrize("start", [0, 5])
+def test_pcm24_spans_across_decode_chunks_match_the_reference(tmp_path, channels, span, start):
+    """A pcm24 span that ends before, on or past a decode-chunk edge holds the
+    reference decoder's bits, with both full-scale codes on either side of
+    every chunk edge and at both ends of the span."""
+    total = start + span + 3
+    rng = np.random.default_rng(span + channels)
+    codes = rng.integers(-(2**23), 2**23, size=(total, channels))
+    edges = {start, start + span - 1} | {start + k * _DECODE + d for k in (1, 2) for d in (-1, 0)}
+    for i, frame in enumerate(sorted(f for f in edges if f < start + span)):
+        codes[frame] = [-(2**23), 2**23 - 1][i % 2]
+        codes[frame, 1::2] = [2**23 - 1, -(2**23)][i % 2]
+    payload = codes.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    path = tmp_path / "x.wav"
+    path.write_bytes(build_wav(1, channels, 48000, 24, payload))
+    width = 3 * channels
+    want = reference_decode(payload[start * width : (start + span) * width], 1, channels, 24)
+    assert_same_samples(load_wav(path, start, start + span).samples, want)
+    assert want.min() == -1.0 and want.max() == 1.0 - 2.0**-23
 
 
 def one_pass_wav(samples, sample_rate, encoding):

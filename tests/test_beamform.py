@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from earshot.beamform import (
     argmax_doa,
     gcc_phat_cross,
     srp_phat,
+    srp_phat_segments,
     steering_delays,
 )
+from earshot.features import PipelineConfig, extract_feature
 from earshot.stft import band_select, stft
 from earshot.synth import random_planar_array
 from synthref import render_plane_wave, xcorr_peak_lag
@@ -323,6 +326,47 @@ def test_lerp_mix_matches_reference_bit_for_bit():
         kernels.lerp_mix(got, sig, delay, amp, lead)
         _lerp_mix_reference(want, sig, delay, amp, lead)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("zeroed", [False, True])
+@pytest.mark.parametrize("mics", [2, 4, 8])
+@pytest.mark.parametrize(
+    "segments,seconds",  # frames per segment: (22), (22, 23), (11, 11, 12), (4 x 4, 6), (6 x 4, 10)
+    [(1, 0.5), (2, 1.0), (3, 0.75), (5, 0.5), (5, 0.75)],
+)
+def test_one_scan_equals_srp_phat_of_each_segment(segments, seconds, mics, zeroed):
+    """The window's one scan, and extract_feature through it, give the bits of
+    srp_phat run on the stack sliced to each segment, the remainder frames in
+    the last segment; an all-zero channel included."""
+    geom = random_planar_array(mics, seed=mics)
+    data = render_plane_wave(geom, 35.0, seconds, 48000, seed=segments)
+    data += 0.1 * np.random.default_rng(mics).standard_normal(data.shape)
+    if zeroed:
+        data[mics // 2] = 0.0
+    clip = AudioClip(data, 48000)
+    config = PipelineConfig(sample_len=seconds, segments=segments)
+    stack = stft(clip, config.frame_len, config.hop, (config.f_min, config.f_max))
+    base = stack.n_frames // segments
+    edges = [k * base for k in range(segments)] + [stack.n_frames]
+    want = np.stack([
+        srp_phat(replace(stack, data=stack.data[:, start:stop]), geom, config.grid).energies
+        for start, stop in zip(edges[:-1], edges[1:])
+    ])
+    got = srp_phat_segments(stack, geom, config.grid, edges)
+    assert got.tobytes() == want.tobytes()
+    assert extract_feature(clip, geom, config).matrix.tobytes() == want.tobytes()
+    if mics == 2 and zeroed:
+        assert not want.any()  # the one pair holds the silent channel
+    else:
+        assert np.all(want.max(axis=1) > 0.0)
+
+
+def test_one_scan_checks_its_frame_edges():
+    geom = random_planar_array(4, seed=0)
+    stack = noise_stack(geom, 10.0, seed=1)
+    for edges in ([0], [0, 0], [3, 2], [-1, 4], [0, stack.n_frames + 1]):
+        with pytest.raises(ValueError, match="frame edges"):
+            srp_phat_segments(stack, geom, AzimuthGrid(), edges)
 
 
 def test_validation_errors():

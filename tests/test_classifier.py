@@ -31,7 +31,7 @@ from earshot.features import (
     mirror,
 )
 from earshot.util import config_hash, derive_seed
-from synthref import train_reference
+from synthref import fit_platt_reference, train_reference
 from test_evaluate import blob_corpus
 
 CFG = PipelineConfig()
@@ -265,7 +265,9 @@ def test_platt_forms_match_the_two_branch_form_bit_for_bit(monkeypatch):
     """Each calibration form, evaluated per sign, equals the old np.where over
     both branches on every element, the far tails, +-0 and NaN included.  A
     Platt fit whose line search reaches |a*s + b| > 709 raises no warning and
-    lands where the two-branch forms took it."""
+    lands where the two-branch forms took it.  The stacked fit of several
+    machines gives each one the per-machine oracle's a and b bit for bit,
+    under either form."""
     from earshot import classifier
 
     z = np.concatenate([np.linspace(-2000.0, 2000.0, 4001), [-0.0, 0.0, 709.8, -709.8, np.nan]])
@@ -276,11 +278,25 @@ def test_platt_forms_match_the_two_branch_form_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(0)
     scores = np.concatenate([rng.normal(-0.5, 1.0, 200), rng.normal(0.5, 1.0, 200), [2e3, -2e3]])
     positive = np.r_[np.zeros(200, bool), np.ones(200, bool), True, False]
+    # More machines on scores of the same length: separable at a large
+    # scale, unrelated labels, a single positive, and none at all.
+    stack = np.stack([scores, 40.0 * scores, rng.normal(0.0, 3.0, 402), scores, scores])
+    labels = np.stack([positive, positive, rng.random(402) < 0.3,
+                       np.arange(402) == 7, np.zeros(402, bool)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = classifier._fit_platt(scores, positive)
+        got = fit_platt_reference(scores, positive)
+        stacked = classifier._fit_platts(stack, labels)
+
+    def assert_matches_the_oracle(fitted):
+        for row, (a, b) in enumerate(zip(*fitted)):
+            want = np.array(fit_platt_reference(stack[row], labels[row]))
+            assert np.array([a, b]).tobytes() == want.tobytes()
+
+    assert_matches_the_oracle(stacked)
     monkeypatch.setattr(classifier, "_by_sign", _where_both)
-    assert repr(got) == repr(classifier._fit_platt(scores, positive))
+    assert repr(got) == repr(fit_platt_reference(scores, positive))
+    assert_matches_the_oracle(classifier._fit_platts(stack, labels))
 
 
 @pytest.mark.parametrize(
