@@ -114,19 +114,19 @@ def srp_phat(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid | None
     """Scan the azimuth grid with PHAT-weighted steered response power."""
     if grid is None:
         grid = AzimuthGrid()
-    return DoaResponse(srp_phat_segments(stack, geometry, grid, (0, stack.n_frames))[0], grid)
+    return DoaResponse(srp_phat_segments(stack, geometry, grid, 1)[0], grid)
 
 
 def srp_phat_segments(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGrid,
-                      edges) -> np.ndarray:
-    """``srp_phat`` energies of consecutive frame ranges, one row per range.
+                      segments: int) -> np.ndarray:
+    """``srp_phat`` energies of ``segments`` consecutive frame ranges, one row each.
 
-    ``edges`` holds increasing frame indices e_0 < e_1 < ... < e_L, and row s
-    scans frames [e_s, e_s+1).  The stack is whitened once, and the pair
-    indices, steering-delay differences and angular frequencies are set up
-    once; each range then costs one batched Gram product of its frames and
-    one ``steered_power`` call.  Row s holds the bits that ``srp_phat`` gives
-    for the stack cut down to that range.
+    Each range holds n_frames // segments frames, and the remainder goes to
+    the last range, the most recent one.  The stack is whitened once, and
+    the pair indices, steering-delay differences and angular frequencies are
+    set up once; each range then costs one batched Gram product of its
+    frames and one ``steered_power`` call.  Row s holds the bits that
+    ``srp_phat`` gives for the stack cut down to range s.
     """
     m = stack.channels
     if m < 2:
@@ -137,11 +137,6 @@ def srp_phat_segments(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGr
         )
     if stack.n_frames < 1 or stack.n_bins < 1:
         raise ValueError("empty spectrogram stack")
-    edges = [int(e) for e in edges]
-    if len(edges) < 2 or edges[0] < 0 or edges[-1] > stack.n_frames or any(
-        stop <= start for start, stop in zip(edges, edges[1:])
-    ):
-        raise ValueError(f"frame edges {edges} must increase within [0, {stack.n_frames}]")
 
     left, right = np.triu_indices(m, 1)
     u = _whiten(stack.data.transpose(2, 0, 1))  # (bins, channels, frames)
@@ -150,8 +145,11 @@ def srp_phat_segments(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGr
     tau = delays[:, left] - delays[:, right]
     omega = 2.0 * np.pi * stack.bin_freqs
 
-    energies = np.empty((len(edges) - 1, grid.n_bins))
-    for row, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+    base = stack.n_frames // segments
+    energies = np.empty((segments, grid.n_bins))
+    for row in range(segments):
+        start = row * base
+        stop = start + base if row < segments - 1 else stack.n_frames
         frames = slice(start, stop)
         gram = u[:, :, frames] @ u_conj[:, :, frames].transpose(0, 2, 1)
         g_sum = gram[:, left, right].T  # (pairs, bins)

@@ -147,13 +147,9 @@ def extract_feature(clip: AudioClip, geometry: ArrayGeometry, config: PipelineCo
             f"{config.frame_len}-sample frame at {clip.sample_rate} Hz"
         )
     stack = stft(window, config.frame_len, config.hop, (config.f_min, config.f_max))
-    n_frames = stack.n_frames
-    if n_frames < config.segments:
-        raise ValueError(f"only {n_frames} frames for {config.segments} segments")
-
-    base = n_frames // config.segments
-    edges = [seg * base for seg in range(config.segments)] + [n_frames]
-    return DoaFeature(srp_phat_segments(stack, geometry, config.grid, edges), config)
+    if stack.n_frames < config.segments:
+        raise ValueError(f"only {stack.n_frames} frames for {config.segments} segments")
+    return DoaFeature(srp_phat_segments(stack, geometry, config.grid, config.segments), config)
 
 
 def mirror(sample: LabeledSample) -> LabeledSample:

@@ -65,13 +65,11 @@ def stft(
 
     The number of frames is floor((N - frame_len) / hop) + 1; a trailing
     partial frame is discarded.  One strided view holds the frames of every
-    channel, and channels are transformed one at a time into one reused
-    spectrum buffer: the ``rfft`` reads each channel's frames straight from
-    the samples, with no frames buffer and no window multiply.  Each
-    channel's kept bins and their two neighbours are copied out, and the
-    Hann window is then applied to all channels at once as its three
-    spectral lines (module docstring).  So for a band the working arrays
-    hold one channel's spectrum, never the whole clip's.
+    channel, and channels are transformed one at a time: the ``rfft`` reads
+    each channel's frames straight from the samples, with no frames buffer
+    and no window multiply, and the Hann window is then applied as its three
+    spectral lines (module docstring) to the kept bins only.  So the working
+    arrays hold one channel's spectrum, never the whole clip's.
 
     ``band=(f_min, f_max)`` keeps only the bins that ``band_select`` keeps
     and equals ``band_select(stft(clip, frame_len, hop), f_min, f_max)`` in
@@ -98,16 +96,11 @@ def stft(
         data = np.empty((bin_indices.size, clip.channels, n_frames), dtype=np.complex128)
         data = data.transpose(1, 2, 0)
     lo, hi = bin_indices[0], bin_indices[-1] + 1
-    first, last = max(lo - 1, 0), min(hi + 1, n_bins)  # the kept bins and their neighbours
     frames = sliding_window_view(clip.samples, frame_len, axis=1)[:, ::hop]
-    # Every channel's rfft writes into one spectrum buffer, which stays warm
-    # in cache: with a fresh output per channel the eight rfft calls of a
-    # 1 s, 8-channel window measured about an eighth slower.
-    spectrum = np.empty((n_frames, n_bins), dtype=np.complex128)
-    lines = np.empty((clip.channels, n_frames, last - first), dtype=np.complex128)
     for ch in range(clip.channels):
-        lines[ch] = np.fft.rfft(frames[ch], axis=1, out=spectrum)[:, first:last]
-    data[...] = _hann_lines(lines, lo - first, hi - first)
+        # The spectrum is a temporary, freed before the next channel's rfft,
+        # which then reuses its memory rather than mapping fresh pages.
+        data[ch] = _hann_lines(np.fft.rfft(frames[ch], axis=1), lo, hi)
     return StftStack(
         data=data,
         sample_rate=clip.sample_rate,
@@ -118,27 +111,24 @@ def stft(
 
 
 def _hann_lines(spectrum, lo, hi) -> np.ndarray:
-    """Bins lo .. hi-1 of the Hann-windowed spectrum, along the last axis.
+    """Bins lo .. hi-1 of the Hann-windowed spectrum, one frame per row.
 
     ``spectrum`` holds the one-sided spectra of unwindowed frames, one frame
-    per row, or a run of their bins that starts at bin 0 if lo is 0 and
-    ends at the Nyquist bin if hi is the run's end.  Bin k becomes
-    0.5 X[k] - 0.25 (X[k-1] + X[k+1]); bin 0 and the Nyquist bin take their
-    outer neighbour from the conjugate symmetry.
+    per row.  Bin k becomes 0.5 X[k] - 0.25 (X[k-1] + X[k+1]); bin 0 and the
+    Nyquist bin take their outer neighbour from the conjugate symmetry.
     """
-    n = spectrum.shape[-1]
+    n = spectrum.shape[1]
     if lo > 0:
-        below = spectrum[..., lo - 1 : hi - 1]
+        below = spectrum[:, lo - 1 : hi - 1]
     else:  # X[-1] = conj X[1]
-        below = np.concatenate([spectrum[..., 1:2].conj(), spectrum[..., : hi - 1]], axis=-1)
+        below = np.concatenate([spectrum[:, 1:2].conj(), spectrum[:, : hi - 1]], axis=1)
     if hi < n:
-        above = spectrum[..., lo + 1 : hi + 1]
+        above = spectrum[:, lo + 1 : hi + 1]
     else:  # X[N/2 + 1] = conj X[N/2 - 1]
-        above = np.concatenate([spectrum[..., lo + 1 :], spectrum[..., n - 2 : n - 1].conj()],
-                               axis=-1)
+        above = np.concatenate([spectrum[:, lo + 1 :], spectrum[:, n - 2 : n - 1].conj()], axis=1)
     windowed = below + above
     windowed *= -0.25
-    windowed += 0.5 * spectrum[..., lo:hi]
+    windowed += 0.5 * spectrum[:, lo:hi]
     return windowed
 
 
