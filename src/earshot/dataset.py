@@ -18,14 +18,13 @@ counts greedily, so nothing from a test recording ever leaks into training.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .audio import AudioClip, check_mic_count, load_geometry, load_wav, wav_frames
 from .features import LabeledSample, PipelineConfig, SampleMeta, extract_feature
-from .util import csv_text, read_csv, write_text
+from .util import csv_text, parallel_map, read_csv, write_text
 
 FRONT_OFFSET = 1.5
 DYNAMIC_OFFSET = 0.5
@@ -166,65 +165,6 @@ def extract_samples(entry: ManifestEntry, config: PipelineConfig, channels=None)
         meta = SampleMeta(entry.recording_id, entry.environment, entry.motion, t_e)
         samples.append(LabeledSample(extract_feature(window, geometry, config), label, meta))
     return samples
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on (its affinity mask, where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def parallel_map(task, count: int, name: str) -> list:
-    """[task(0), ..., task(count - 1)], computed on min(usable cores, count)
-    threads.
-
-    The calling thread and one new thread per further core (named
-    ``name-1``, ``name-2``, ...) each take the next unclaimed index until
-    none is left.  WAV I/O, FFTs and array arithmetic release the interpreter
-    lock, so the threads share the cores.  A task whose result depends on its
-    index alone gives results that do not depend on the number of threads.
-    When tasks fail, no
-    index is claimed after the failure, the threads are joined, and the
-    error of the lowest failing index is raised, as a serial loop would
-    raise it.
-    """
-    results = [None] * count
-    errors = {}
-    lock = threading.Lock()
-    stop = threading.Event()
-    unclaimed = iter(range(count))
-
-    def claim():
-        with lock:
-            return None if stop.is_set() else next(unclaimed, None)
-
-    def work():
-        while (index := claim()) is not None:
-            try:
-                results[index] = task(index)
-            except Exception as exc:  # re-raised by the calling thread
-                with lock:
-                    errors[index] = exc
-                    stop.set()
-                return
-
-    helpers = [
-        threading.Thread(target=work, name=f"{name}-{n}")
-        for n in range(1, min(_usable_cores(), count))
-    ]
-    for thread in helpers:
-        thread.start()
-    try:
-        work()
-    finally:
-        stop.set()  # an interrupted caller leaves the helpers nothing more to claim
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def extract_manifest(manifest, config: PipelineConfig, channels=None) -> list:

@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioClip
+from .util import parallel_map
 
 
 @dataclass
@@ -65,11 +66,14 @@ def stft(
 
     The number of frames is floor((N - frame_len) / hop) + 1; a trailing
     partial frame is discarded.  One strided view holds the frames of every
-    channel, and channels are transformed one at a time: the ``rfft`` reads
-    each channel's frames straight from the samples, with no frames buffer
-    and no window multiply, and the Hann window is then applied as its three
-    spectral lines (module docstring) to the kept bins only.  So the working
-    arrays hold one channel's spectrum, never the whole clip's.
+    channel, and each channel is one task of ``util.parallel_map``: the
+    ``rfft`` reads the channel's frames straight from the samples, with no
+    frames buffer and no window multiply, the Hann window is then applied as
+    its three spectral lines (module docstring) to the kept bins only, and
+    the result goes into the channel's own slice of the stack.  So the
+    working arrays hold one channel's spectrum per thread, never the whole
+    clip's.  A call from inside a pool task, as in ``extract_manifest``,
+    transforms its channels one at a time on the calling thread.
 
     ``band=(f_min, f_max)`` keeps only the bins that ``band_select`` keeps
     and equals ``band_select(stft(clip, frame_len, hop), f_min, f_max)`` in
@@ -97,10 +101,13 @@ def stft(
         data = data.transpose(1, 2, 0)
     lo, hi = bin_indices[0], bin_indices[-1] + 1
     frames = sliding_window_view(clip.samples, frame_len, axis=1)[:, ::hop]
-    for ch in range(clip.channels):
-        # The spectrum is a temporary, freed before the next channel's rfft,
+
+    def transform(ch):
+        # The spectrum is a temporary, freed before the thread's next rfft,
         # which then reuses its memory rather than mapping fresh pages.
         data[ch] = _hann_lines(np.fft.rfft(frames[ch], axis=1), lo, hi)
+
+    parallel_map(transform, clip.channels, "earshot-stft")
     return StftStack(
         data=data,
         sample_rate=clip.sample_rate,

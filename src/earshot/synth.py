@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _backend
 from .audio import ArrayGeometry, AudioClip, save_geometry, write_wav
-from .dataset import ManifestEntry, RecordingManifest, parallel_map, save_manifest
-from .util import derive_seed, write_text
+from .dataset import ManifestEntry, RecordingManifest, save_manifest
+from .util import derive_seed, parallel_map, write_text
 
 _MASK_STRIDE = 64  # path validity is re-evaluated every this many samples (1.3 ms)
 _BLOCK = 1 << 15  # samples of the source track positioned and mixed at once
@@ -45,19 +45,23 @@ def _cross2(ax, az, bx, bz):
 
 
 def _blocked_matrix(walls: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Which segments p[n] -> q[n] cross which walls; touching counts.
+    """Which segments p -> q cross which walls; touching counts.
 
-    walls: (W, 2, 2), p and q: (N, 2).  Returns bool (N, W).
+    walls: (W, 2, 2); p and q: (..., 2), broadcast against each other.
+    Returns bool (..., W).  The arithmetic runs with the wall axis first, so
+    its inner loops run over the segments, not over the few walls.
     """
+    shape = np.broadcast_shapes(p.shape, q.shape)[:-1]
     if walls.size == 0:
-        return np.zeros((p.shape[0], 0), dtype=bool)
-    ax, az = walls[:, 0, 0], walls[:, 0, 1]  # (W,)
-    bx, bz = walls[:, 1, 0], walls[:, 1, 1]
-    px, pz = p[:, :1], p[:, 1:]  # (N, 1)
-    qx, qz = q[:, :1], q[:, 1:]
+        return np.zeros(shape + (0,), dtype=bool)
+    corners = walls.reshape((walls.shape[0],) + (1,) * len(shape) + (2, 2))
+    ax, az = corners[..., 0, 0], corners[..., 0, 1]  # (W, 1, ...)
+    bx, bz = corners[..., 1, 0], corners[..., 1, 1]
+    px, pz = p[..., 0], p[..., 1]
+    qx, qz = q[..., 0], q[..., 1]
     abx, abz = bx - ax, bz - az
     pqx, pqz = qx - px, qz - pz
-    pax, paz = px - ax, pz - az  # (N, W)
+    pax, paz = px - ax, pz - az  # (W, ...)
     d1 = _cross2(abx, abz, pax, paz)
     d2 = _cross2(abx, abz, qx - ax, qz - az)
     d3 = _cross2(pax, paz, pqx, pqz)  # (p - a) x pq, bit for bit pq x (a - p)
@@ -66,17 +70,12 @@ def _blocked_matrix(walls: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarr
     collinear = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
     if np.any(collinear):
         # Collinear segments block only when their extents actually overlap.
-        a = walls[:, 0, :][None, :, :]  # (1, W, 2)
-        b = walls[:, 1, :][None, :, :]
-        p = p[:, None, :]  # (N, 1, 2)
-        q = q[:, None, :]
-        lo_s = np.minimum(p, q)
-        hi_s = np.maximum(p, q)
-        lo_w = np.minimum(a, b)
-        hi_w = np.maximum(a, b)
-        overlap = np.all((lo_s <= hi_w) & (lo_w <= hi_s), axis=-1)
+        overlap = ((np.minimum(px, qx) <= np.maximum(ax, bx))
+                   & (np.minimum(ax, bx) <= np.maximum(px, qx))
+                   & (np.minimum(pz, qz) <= np.maximum(az, bz))
+                   & (np.minimum(az, bz) <= np.maximum(pz, qz)))
         hit = np.where(collinear, overlap, hit)
-    return hit
+    return np.moveaxis(hit, 0, -1)
 
 
 def _mirror_points(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,13 +111,10 @@ def _specular_valid(walls, wall_index, src, receivers) -> np.ndarray:
     xi = (point - a) @ u
     on_wall = (xi >= 0.0) & (xi <= length)
 
-    others = np.arange(walls.shape[0]) != wall_index
-    other_walls = walls[others]
-    r, k = same_side.shape
-    point = point.reshape(r * k, 2)
-    leg1 = _blocked_matrix(other_walls, np.tile(src, (r, 1)), point)
-    leg2 = _blocked_matrix(other_walls, point, np.repeat(receivers, k, axis=0))
-    clear = ~(leg1 | leg2).any(axis=1).reshape(r, k)
+    other_walls = walls[np.arange(walls.shape[0]) != wall_index]
+    leg1 = _blocked_matrix(other_walls, src[None], point)
+    leg2 = _blocked_matrix(other_walls, point, receivers[:, None])
+    clear = ~(leg1 | leg2).any(axis=-1)
     return same_side & on_wall & clear
 
 
@@ -127,10 +123,8 @@ def _path_validity(walls, src, receivers) -> np.ndarray:
 
     Index 0 of the middle axis is the direct path, 1 + w the image in wall w.
     """
-    r, k = receivers.shape[0], src.shape[0]
-    valid = np.empty((r, 1 + walls.shape[0], k), dtype=bool)
-    blocked = _blocked_matrix(walls, np.tile(src, (r, 1)), np.repeat(receivers, k, axis=0))
-    valid[:, 0] = ~blocked.any(axis=1).reshape(r, k)
+    valid = np.empty((receivers.shape[0], 1 + walls.shape[0], src.shape[0]), dtype=bool)
+    valid[:, 0] = ~_blocked_matrix(walls, src[None], receivers[:, None]).any(axis=-1)
     for w in range(walls.shape[0]):
         valid[:, 1 + w] = _specular_valid(walls, w, src, receivers)
     return valid
@@ -357,12 +351,12 @@ def _mix_source(scenario: Scenario, mics: np.ndarray, speed_of_sound: float, n: 
     # line-of-sight blips shorter than the mask stride before the first
     # bracketed opening are beyond the simulator's resolution.
     t0 = None
-    coarse_ok = ~_blocked_matrix(walls, coarse, np.broadcast_to(center, coarse.shape)).any(axis=1)
+    coarse_ok = ~_blocked_matrix(walls, coarse, center).any(axis=-1)
     if np.any(coarse_ok):
         i_c = int(np.argmax(coarse_ok)) * _MASK_STRIDE
         lo = max(0, i_c - _MASK_STRIDE)
         seg = path.position(np.arange(lo, i_c + 1) / fs)
-        exact_ok = ~_blocked_matrix(walls, seg, np.broadcast_to(center, seg.shape)).any(axis=1)
+        exact_ok = ~_blocked_matrix(walls, seg, center).any(axis=-1)
         t0 = float(lo + np.argmax(exact_ok)) / fs
 
     # Path positions are piecewise linear and mirroring is affine, so
@@ -544,7 +538,7 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
     environment, the class count and ``extra_preamble``; returns the manifest
     path.  Everything derives from the one seed, so a rerun reproduces
     identical bytes.  The scenes are rendered and written on
-    ``dataset.parallel_map``'s threads, one per usable core; if any fails,
+    ``util.parallel_map``'s threads, one per usable core; if any fails,
     every file of the call is removed and the first failing scene's error is
     raised.
     """

@@ -1,5 +1,5 @@
-"""Small shared helpers: seed derivation, config hashing, atomic writes and
-the CSV artifact format."""
+"""Small shared helpers: seed derivation, config hashing, atomic writes, the
+CSV artifact format and the one thread pool."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import io
 import json
 import os
 import secrets
+import threading
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -109,3 +110,76 @@ def read_csv(path):
     if not rows:
         raise ValueError(f"{path}:{at}: no header row")
     return preamble, rows
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+class _PoolState(threading.local):
+    busy = False  # true while this thread runs a pool task
+
+
+_pool = _PoolState()
+
+
+def parallel_map(task, count: int, name: str) -> list:
+    """[task(0), ..., task(count - 1)], computed on min(usable cores, count)
+    threads.
+
+    The calling thread and one new thread per further core (named
+    ``name-1``, ``name-2``, ...) each take the next unclaimed index until
+    none is left.  WAV I/O, FFTs and array arithmetic release the interpreter
+    lock, so the threads share the cores.  A task whose result depends on its
+    index alone gives results that do not depend on the number of threads.
+    When tasks fail, no index is claimed after the failure, the threads are
+    joined, and the error of the lowest failing index is raised, as a serial
+    loop would raise it.
+
+    A call made from inside a task runs as if one core were usable: its
+    tasks run on the calling thread, through the same loop, since the outer
+    call already has a thread on every core.
+    """
+    results = [None] * count
+    errors = {}
+    lock = threading.Lock()
+    stop = threading.Event()
+    unclaimed = iter(range(count))
+
+    def claim():
+        with lock:
+            return None if stop.is_set() else next(unclaimed, None)
+
+    def work():
+        outer, _pool.busy = _pool.busy, True
+        try:
+            while (index := claim()) is not None:
+                try:
+                    results[index] = task(index)
+                except Exception as exc:  # re-raised by the calling thread
+                    with lock:
+                        errors[index] = exc
+                        stop.set()
+                    return
+        finally:
+            _pool.busy = outer
+
+    cores = 1 if _pool.busy else _usable_cores()
+    helpers = [
+        threading.Thread(target=work, name=f"{name}-{n}") for n in range(1, min(cores, count))
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        stop.set()  # an interrupted caller leaves the helpers nothing more to claim
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from earshot import cli, dataset
+from earshot import cli, dataset, util
 from earshot.audio import AudioClip, load_geometry, load_wav, wav_frames, write_wav
 from earshot.dataset import (
     ManifestEntry,
@@ -19,7 +19,6 @@ from earshot.dataset import (
     extract_samples,
     extraction_times,
     load_manifest,
-    parallel_map,
     save_manifest,
     stratified_folds,
 )
@@ -32,6 +31,7 @@ from earshot.features import (
     save_features,
 )
 from earshot.synth import random_planar_array
+from earshot.util import parallel_map
 from earshot.audio import save_geometry
 
 
@@ -445,7 +445,7 @@ def test_parallel_extract_bytes_equal_the_serial_loop(
     """Every worker count writes the serial loop's feature cache bytes, and
     each of the min(workers, recordings) threads takes part."""
     n_threads = min(workers, len(bench_manifest))  # bench_manifest holds 12 recordings
-    monkeypatch.setattr(dataset, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(util, "_usable_cores", lambda: workers)
     barrier = threading.Barrier(n_threads)
     lock, seen = threading.Lock(), set()
 
@@ -486,7 +486,7 @@ def test_parallel_extract_names_the_first_bad_recording(
         entries[i] = dataclasses.replace(entries[i], situation="right", t0=0.5)
     manifest = tmp_path / "manifest.csv"
     save_manifest(RecordingManifest(entries), manifest)
-    monkeypatch.setattr(dataset, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(util, "_usable_cores", lambda: workers)
 
     def slow_first_failure(e, config, channels=None):
         if e.recording_id == entries[first].recording_id:
@@ -505,7 +505,7 @@ def test_parallel_extract_names_the_first_bad_recording(
 def test_parallel_map_runs_every_index_once_under_contention(monkeypatch):
     """Eight threads on fewer cores, switching every microsecond: every index
     is claimed exactly once and its result lands in its own slot."""
-    monkeypatch.setattr(dataset, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(util, "_usable_cores", lambda: 8)
     claimed = []
 
     def task(i):
@@ -521,6 +521,35 @@ def test_parallel_map_runs_every_index_once_under_contention(monkeypatch):
     assert sorted(claimed) == list(range(3000))
     assert got == [i * i for i in range(3000)]
     assert not [t for t in threading.enumerate() if t.name.startswith("earshot-stress")]
+
+
+def test_parallel_map_inside_a_task_runs_on_the_task_thread(monkeypatch):
+    """With four usable cores, each of four outer tasks holds its own thread
+    and calls parallel_map: the inner tasks run on that thread, no inner
+    thread is started, and the results are a serial loop's.  Afterwards a
+    top-level call gets every core again."""
+    monkeypatch.setattr(util, "_usable_cores", lambda: 4)
+    barrier = threading.Barrier(4)
+    started = []
+
+    def inner(i, j):
+        started.extend(t.name for t in threading.enumerate() if t.name.startswith("earshot-inner"))
+        return threading.current_thread().name, 10 * i + j
+
+    def outer(i):
+        barrier.wait(timeout=60)  # one outer task per thread
+        return threading.current_thread().name, parallel_map(lambda j: inner(i, j), 6,
+                                                             "earshot-inner")
+
+    got = parallel_map(outer, 4, "earshot-outer")
+    assert len({name for name, _ in got}) == 4
+    for i, (name, results) in enumerate(got):
+        assert results == [(name, 10 * i + j) for j in range(6)]
+    assert started == []
+
+    names = parallel_map(lambda i: barrier.wait(timeout=60) or threading.current_thread().name,
+                         4, "earshot-after")
+    assert len(set(names)) == 4
 
 
 def test_folds_balanced_20_per_class():

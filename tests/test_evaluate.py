@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from earshot import dataset
+from earshot import util
 from earshot.audio import AudioClip, load_geometry, load_wav
 from earshot.classifier import train
 from earshot.dataset import extraction_times, load_manifest, stratified_folds
@@ -441,6 +441,6 @@ def test_mic_subset_study_equals_the_whole_clip_loop(bench_manifest, default_con
                                                      mic_reference_rows, cores, monkeypatch):
     """Re-extracting each trial through extract_manifest's pool gives the rows
     of the old whole-clip loop exactly, on one thread or three."""
-    monkeypatch.setattr(dataset, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(util, "_usable_cores", lambda: cores)
     rows = mic_subset_study(bench_manifest, default_config, [2, 4, 8], trials=2, seed=3, k=3)
     assert rows == mic_reference_rows

@@ -26,9 +26,9 @@ def test_no_tracked_file_is_ignored():
     assert listed.stdout == ""
 
 
-def test_only_util_reads_and_writes_csv():
-    """The CSV artifact format lives in util.py (csv_text and read_csv): no
-    other module imports csv or io, so no second private codec grows back."""
+def _imports_outside_util(packages):
+    """``module: name`` for each import of one of ``packages`` by a package
+    module other than util.py."""
     offenders = []
     for path in sorted((ROOT / "src" / "earshot").glob("*.py")):
         if path.name == "util.py":
@@ -40,5 +40,17 @@ def test_only_util_reads_and_writes_csv():
                 names = [node.module]
             else:
                 continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in ("csv", "io")]
-    assert offenders == []
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in packages]
+    return offenders
+
+
+def test_only_util_reads_and_writes_csv():
+    """The CSV artifact format lives in util.py (csv_text and read_csv): no
+    other module imports csv or io, so no second private codec grows back."""
+    assert _imports_outside_util(("csv", "io")) == []
+
+
+def test_only_util_starts_threads():
+    """The one thread pool lives in util.py (parallel_map): no other module
+    imports threading or concurrent.futures, so no second pool grows back."""
+    assert _imports_outside_util(("threading", "concurrent")) == []

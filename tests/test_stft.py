@@ -1,12 +1,20 @@
 """Spectrogram stack vs a direct DFT oracle, plus band selection rules."""
 
+import importlib
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from earshot import util
 from earshot.audio import AudioClip
+from earshot.features import PipelineConfig, extract_feature
 from earshot.stft import StftStack, band_select, stft
+from earshot.synth import random_planar_array
 from synthref import hann_window
+
+stft_module = importlib.import_module("earshot.stft")  # the package exports the function as stft
 
 
 def dft_oracle(frame):
@@ -201,3 +209,41 @@ def test_banded_stft_rejects_bands_as_band_select_does():
         with pytest.raises(ValueError) as got:
             stft(clip, 64, 32, band)
         assert str(got.value) == str(want.value)
+
+
+def test_stft_bytes_do_not_depend_on_the_thread_count(monkeypatch):
+    """With 1, 2 or 8 usable cores, stft (banded and full) gives the same
+    bytes and strides and extract_feature the same rows, and each of the
+    min(cores, channels) threads transforms a channel."""
+    clip = AudioClip(np.random.default_rng(8).standard_normal((8, 48000)), 48000)
+    geometry, config = random_planar_array(8, seed=4), PipelineConfig()
+    hann_lines = stft_module._hann_lines
+    runs = []
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(util, "_usable_cores", lambda cores=cores: cores)
+        barrier = threading.Barrier(min(cores, clip.channels))
+        lock, seen = threading.Lock(), set()
+
+        def spy(spectrum, lo, hi):
+            name = threading.current_thread().name
+            with lock:
+                first = name not in seen
+                seen.add(name)
+            if first:  # hold each thread's first channel until every thread has one
+                barrier.wait(timeout=60)
+            return hann_lines(spectrum, lo, hi)
+
+        monkeypatch.setattr(stft_module, "_hann_lines", spy)
+        stacks = []
+        for band in (None, (config.f_min, config.f_max)):
+            seen.clear()
+            stacks.append(stft(clip, config.frame_len, config.hop, band).data)
+            assert len(seen) == min(cores, clip.channels)
+        runs.append((stacks, extract_feature(clip, geometry, config).flat))
+    assert not [t for t in threading.enumerate() if t.name.startswith("earshot-stft")]
+    (want, want_row), others = runs[0], runs[1:]
+    for stacks, row in others:
+        for got, ref in zip(stacks, want):
+            assert got.strides == ref.strides
+            assert got.tobytes(order="A") == ref.tobytes(order="A")
+        assert row.tobytes() == want_row.tobytes()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from earshot import dataset, synth, util
+from earshot import synth, util
 from earshot._kernels_np import lerp_mix
 from earshot.audio import AudioClip, UnsupportedEncodingError, load_wav
 from earshot.beamform import argmax_doa, srp_phat
@@ -283,7 +283,7 @@ def test_make_benchmark_bytes_do_not_depend_on_the_thread_count(tmp_path, monkey
     of the threads renders a scene."""
     trees = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(dataset, "_usable_cores", lambda cores=cores: cores)
+        monkeypatch.setattr(util, "_usable_cores", lambda cores=cores: cores)
         barrier = threading.Barrier(cores)
         lock, seen = threading.Lock(), set()
 
@@ -311,7 +311,7 @@ def test_make_benchmark_failure_mid_corpus_removes_every_file(tmp_path, monkeypa
     """Two scenes fail mid-corpus, the later one first: the earlier scene's
     error is raised, as a serial loop would raise it, and no file of the call
     stays behind, the scenes written before the failure included."""
-    monkeypatch.setattr(dataset, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(util, "_usable_cores", lambda: cores)
     slow = derive_seed(5, "A-right-1")
     fast = derive_seed(5, "A-none-0")
 
@@ -520,6 +520,30 @@ def test_blocked_matrix_matches_reference_on_touching_and_collinear_segments():
     walls, p, q = rng.normal(size=(5, 2, 2)), rng.normal(size=(4000, 2)), rng.normal(size=(4000, 2))
     assert np.array_equal(synth._blocked_matrix(walls, p, q),
                           _reference_blocked_matrix(walls, p, q))
+
+
+def test_blocked_matrix_broadcast_equals_the_tiled_call():
+    """An (R, 1, 2) x (1, N, 2) call is the tiled (R * N, 2) call reshaped, on
+    integer grids where segments touch walls and run along them."""
+    rng = np.random.default_rng(12)
+    walls = rng.integers(-3, 4, size=(6, 2, 2)).astype(np.float64)
+    p = rng.integers(-3, 4, size=(40, 2)).astype(np.float64)
+    q = rng.integers(-3, 4, size=(90, 2)).astype(np.float64)
+    got = synth._blocked_matrix(walls, p[:, None], q[None])
+    tiled = synth._blocked_matrix(walls, np.repeat(p, len(q), axis=0), np.tile(q, (len(p), 1)))
+    assert got.shape == (40, 90, 6)
+    assert np.array_equal(got, tiled.reshape(40, 90, 6))
+    assert got.any() and not got.all()
+    ab = walls[:, 1] - walls[:, 0]
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    # some segment runs along some wall, so the collinear branch decides it
+    along = (cross(ab, p[:, None, None] - walls[:, 0]) == 0) & (
+        cross(ab, q[None, :, None] - walls[:, 0]) == 0)
+    assert along.any()
+    assert synth._blocked_matrix(walls[:0], p[:, None], q[None]).shape == (40, 90, 0)
 
 
 @pytest.mark.parametrize("case", ["A-left", "B-right", "A-none", "zigzag"])
