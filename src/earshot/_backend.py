@@ -1,4 +1,4 @@
-# The benchmark (bench/tracer.py, bench/run.py) binds these two names; NumPy is the only kernel module.
+# Serves only earshot.BACKEND and bench/tracer.py; the package calls _kernels_np directly.
 from . import _kernels_np as kernels
 
 BACKEND = "numpy"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
+from . import _kernels_np
 from .audio import ArrayGeometry
 from .stft import StftStack
 
@@ -153,7 +153,7 @@ def srp_phat_segments(stack: StftStack, geometry: ArrayGeometry, grid: AzimuthGr
         frames = slice(start, stop)
         gram = u[:, :, frames] @ u_conj[:, :, frames].transpose(0, 2, 1)
         g_sum = gram[:, left, right].T  # (pairs, bins)
-        r = _backend.kernels.steered_power(
+        r = _kernels_np.steered_power(
             np.ascontiguousarray(g_sum.real),
             np.ascontiguousarray(g_sum.imag),
             tau,

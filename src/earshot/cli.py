@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import replace
 
 from . import __version__
-from ._backend import BACKEND
 from .audio import WavError, check_mic_count, load_geometry, load_wav, wav_frames
 from .classifier import load_model, save_model, train
 from .dataset import ManifestEntry, extract_manifest, load_manifest
@@ -46,30 +46,32 @@ class UsageError(Exception):
     """Bad flag or configuration value; maps to exit code 2."""
 
 
-# Run-config key of each PipelineConfig field; their defaults come from
-# PipelineConfig itself.
-_PIPELINE_KEYS = {
-    "window": "sample_len",
-    "segments": "segments",
-    "bins": "bins",
-    "fmin": "f_min",
-    "fmax": "f_max",
-    "frame": "frame_len",
-    "hop": "hop",
+# A run option: the JSON type of its --config value, which also parses its
+# flag, its help, and the PipelineConfig field that supplies its default, or
+# else its own default.
+_Option = namedtuple("_Option", "kind help field default extras", defaults=(None, None, {}))
+
+# Every run-config key once; its flag is --key with dashes for underscores.
+_OPTIONS = {
+    "seed": _Option(int, "master seed, fanned out per subsystem", default=0),
+    "lambda": _Option(float, "SVM regularization weight", default=1.0),
+    "window": _Option(float, "analysis window length in seconds", "sample_len"),
+    "segments": _Option(int, "stacked DoA maps per feature", "segments"),
+    "bins": _Option(int, "azimuth grid size", "bins"),
+    "fmin": _Option(float, "lowest retained frequency in Hz", "f_min"),
+    "fmax": _Option(float, "highest retained frequency in Hz", "f_max"),
+    "frame": _Option(int, "STFT frame length in samples", "frame_len"),
+    "hop": _Option(int, "STFT hop in samples", "hop"),
+    "augment": _Option(bool, "mirror side-labeled training samples (default true)",
+                       default=True, extras={"metavar": "BOOL"}),
+    "folds": _Option(int, "cross-validation fold count", default=5),
+    "baseline": _Option(str, "classifier to evaluate", default="svm",
+                        extras={"choices": ("svm", "doa")}),
+    "alpha_th": _Option(float, "direction-rule threshold in degrees", default=50.0),
+    "stride": _Option(float, "sliding-window step in seconds", default=0.1),
 }
 
-_DEFAULTS = {
-    **{key: getattr(PipelineConfig(), name) for key, name in _PIPELINE_KEYS.items()},
-    "lambda": 1.0,
-    "seed": 0,
-    "folds": 5,
-    "augment": True,
-    "alpha_th": 50.0,
-    "baseline": "svm",
-    "stride": 0.1,
-}
-
-_ARG_NAME = {"lambda": "lam"}
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,8 +84,14 @@ def _parse_bool(text: str) -> bool:
 
 
 def resolve_run_config(args) -> dict:
-    """Defaults, then the --config file, then explicit flags."""
-    run = dict(_DEFAULTS)
+    """Defaults, then the --config file, then explicit flags.
+
+    A --config value must have its option's JSON type (an integer is a
+    number, true and false are neither) and is kept as given.
+    """
+    defaults = PipelineConfig()
+    run = {key: getattr(defaults, o.field) if o.field else o.default
+           for key, o in _OPTIONS.items()}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -92,14 +100,17 @@ def resolve_run_config(args) -> dict:
         unknown = sorted(set(loaded) - set(run))
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            kind = _OPTIONS[key].kind
+            if not (type(value) is kind or (kind is float and type(value) is int)):
+                raise UsageError(f"{args.config}: {key} must be {_KIND_NAMES[kind]}, "
+                                 f"got {json.dumps(value)}")
         run.update(loaded)
     for key in run:
-        value = getattr(args, _ARG_NAME.get(key, key), None)
+        value = getattr(args, key, None)
         if value is not None:
             run[key] = value
 
-    if not isinstance(run["augment"], bool):
-        raise UsageError("augment must be a boolean")
     if run["baseline"] not in ("svm", "doa"):
         raise UsageError("baseline must be 'svm' or 'doa'")
     if run["lambda"] <= 0:
@@ -115,7 +126,7 @@ def resolve_run_config(args) -> dict:
 
 def _pipeline(run: dict) -> PipelineConfig:
     try:
-        return PipelineConfig(**{name: run[key] for key, name in _PIPELINE_KEYS.items()})
+        return PipelineConfig(**{o.field: run[key] for key, o in _OPTIONS.items() if o.field})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -266,21 +277,9 @@ def cmd_micstudy(args, run: dict) -> int:
 
 def _add_shared_flags(sub) -> None:
     sub.add_argument("--config", help="JSON file of configuration overrides")
-    sub.add_argument("--seed", type=int, help="master seed, fanned out per subsystem")
-    sub.add_argument("--lambda", dest="lam", type=float, help="SVM regularization weight")
-    sub.add_argument("--window", type=float, help="analysis window length in seconds")
-    sub.add_argument("--segments", type=int, help="stacked DoA maps per feature")
-    sub.add_argument("--bins", type=int, help="azimuth grid size")
-    sub.add_argument("--fmin", type=float, help="lowest retained frequency in Hz")
-    sub.add_argument("--fmax", type=float, help="highest retained frequency in Hz")
-    sub.add_argument("--frame", type=int, help="STFT frame length in samples")
-    sub.add_argument("--hop", type=int, help="STFT hop in samples")
-    sub.add_argument("--augment", type=_parse_bool, metavar="BOOL",
-                     help="mirror side-labeled training samples (default true)")
-    sub.add_argument("--folds", type=int, help="cross-validation fold count")
-    sub.add_argument("--baseline", choices=("svm", "doa"), help="classifier to evaluate")
-    sub.add_argument("--alpha-th", type=float, help="direction-rule threshold in degrees")
-    sub.add_argument("--stride", type=float, help="sliding-window step in seconds")
+    for key, o in _OPTIONS.items():
+        sub.add_argument("--" + key.replace("_", "-"), help=o.help,
+                         type=_parse_bool if o.kind is bool else o.kind, **o.extras)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hear approaching vehicles around blind corners from a mic array.",
     )
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__} ({BACKEND} kernels)")
+                        version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("doa", help="dump the azimuth energy map of a recording")

@@ -9,7 +9,7 @@ labeled samples:
                       ending 1.5 s later gets "front" (the vehicle has emerged)
   dynamic left/right  same, but anchored at tau0 + 0.5 s, where tau0 is the
                       annotated earliest-hearing time
-  none                one "none" window per probe time (default: the midpoint)
+  none                one "none" window, ending at the recording's midpoint
 
 Fold assignment keeps all samples of a recording together and balances class
 counts greedily, so nothing from a test recording ever leaks into training.
@@ -112,11 +112,10 @@ def load_manifest(path, check_files: bool = True) -> RecordingManifest:
     return RecordingManifest(entries)
 
 
-def extraction_times(entry: ManifestEntry, duration: float, none_probes=None):
+def extraction_times(entry: ManifestEntry, duration: float):
     """The (label, t_e) pairs a recording contributes."""
     if entry.situation == "none":
-        probes = [duration / 2.0] if none_probes is None else list(none_probes)
-        return [("none", float(t)) for t in probes]
+        return [("none", float(duration / 2.0))]
     anchor = entry.t0 if entry.motion == "static" else entry.tau0 + DYNAMIC_OFFSET
     return [(entry.situation, float(anchor)), ("front", float(anchor) + FRONT_OFFSET)]
 
@@ -208,27 +207,16 @@ def stratified_folds(samples, k: int, seed: int = 0) -> list:
     keys.sort(key=lambda rid: -len(groups[rid]))  # stable: keeps the shuffled tie order
 
     label_index = {lab: i for i, lab in enumerate(labels)}
-    fold_counts = np.zeros((k, len(labels)), dtype=np.int64)
-    fold_sizes = np.zeros(k, dtype=np.int64)
+    counts = np.zeros((k, len(labels)), dtype=np.int64)  # per fold, per class
+    choices = np.eye(k, dtype=np.int64)[:, :, None]  # choice f adds to fold f only
     folds = [[] for _ in range(k)]
     for rid in keys:
-        best = None
-        group_vec = np.zeros(len(labels), dtype=np.int64)
-        for s in groups[rid]:
-            group_vec[label_index[s.label]] += 1
-        for f in range(k):
-            trial = fold_counts[f] + group_vec
-            # imbalance this assignment would create, per class then in total
-            spread = 0
-            for c in range(len(labels)):
-                col = fold_counts[:, c].copy()
-                col[f] += group_vec[c]
-                spread += col.max() - col.min()
-            key = (spread, fold_sizes[f] + len(groups[rid]), f)
-            if best is None or key < best[0]:
-                best = (key, f, trial)
-        _, f, trial = best
-        fold_counts[f] = trial
-        fold_sizes[f] += len(groups[rid])
+        group = np.bincount([label_index[s.label] for s in groups[rid]], minlength=len(labels))
+        trial = counts + choices * group  # (choice, fold, class)
+        # the imbalance each choice would create, per class then in total;
+        # ties go to the smaller fold, then to the lower index
+        spread = (trial.max(1) - trial.min(1)).sum(1)
+        f = np.lexsort((np.arange(k), counts.sum(1), spread))[0]
+        counts = trial[f]
         folds[f].extend(groups[rid])
     return folds

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioClip, load_geometry, load_wav
+from .audio import AudioClip, load_geometry
 from .beamform import DoaResponse
 from .classifier import CLASS_ORDER, doa_baseline, predict, train_many
 from .dataset import FRONT_OFFSET, ManifestEntry, extract_manifest, stratified_folds
@@ -37,10 +37,10 @@ class ConfusionMatrix:
         if self.counts.shape != (n, n):
             raise ValueError(f"confusion matrix must be {n}x{n}")
 
-    def add(self, true_label: str, pred_label: str, count: int = 1) -> None:
+    def add(self, true_label: str, pred_label: str) -> None:
         i = self.class_order.index(true_label)
         j = self.class_order.index(pred_label)
-        self.counts[i, j] += count
+        self.counts[i, j] += 1
 
     def merge(self, other: "ConfusionMatrix") -> None:
         if other.class_order != self.class_order:
@@ -270,18 +270,14 @@ def window_times(duration: float, sample_len: float, hop_seconds: float) -> list
 
 
 def sliding_window_eval(entry: ManifestEntry | None, model, config: PipelineConfig,
-                        hop_seconds: float = 0.1, clip=None, geometry=None) -> list:
-    """Classify windows ending every hop_seconds and score them on overlap rules.
+                        hop_seconds: float, clip: AudioClip, geometry) -> list:
+    """Classify clip windows ending every hop_seconds and score them on overlap rules.
 
     Returns one WindowScore per evaluation time t_e = sample_len,
-    sample_len + hop, ... up to the clip duration.  With entry None the clip
-    and geometry must be given; windows are classified but not scored, so
+    sample_len + hop, ... up to the clip duration.  ``entry`` supplies the
+    ground truth; with entry None windows are classified but not scored, so
     every score has no accepted labels and is not correct.
     """
-    if clip is None:
-        clip = load_wav(entry.wav)
-    if geometry is None:
-        geometry = load_geometry(entry.geometry)
     scores = []
     length = int(round(config.sample_len * clip.sample_rate))
     for t_e in window_times(clip.duration, config.sample_len, hop_seconds):

@@ -15,6 +15,7 @@ a training-time operation only; nothing here ever touches test samples.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -33,7 +34,8 @@ class PipelineConfig:
     """Feature extraction parameters.
 
     sample_len is the analyzed window in seconds (delta-t), segments the
-    number L of stacked DoA maps, bins the azimuth grid size B.
+    number L of stacked DoA maps, bins the azimuth grid size B.  An int field
+    takes an integer and a float field a real number, never a bool (TypeError).
     """
 
     sample_len: float = 1.0
@@ -45,6 +47,12 @@ class PipelineConfig:
     hop: int = 1024
 
     def __post_init__(self):
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                name = "an integer" if integral else "a number"
+                raise TypeError(f"{f.name} must be {name}, got {value!r}")
         if self.sample_len <= 0:
             raise ValueError("sample_len must be positive")
         if self.segments < 1:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _backend
+from . import _kernels_np
 from .audio import ArrayGeometry, AudioClip, save_geometry, write_wav
 from .dataset import ManifestEntry, RecordingManifest, save_manifest
 from .util import derive_seed, parallel_map, write_text
@@ -402,19 +402,19 @@ def _mix_source(scenario: Scenario, mics: np.ndarray, speed_of_sound: float, n: 
                 for s, e in cut[mi]:
                     seg = pts[s - lo : e - lo]
                     dist = np.hypot(seg[:, 0] - mic[0], seg[:, 1] - mic[1])
-                    _backend.kernels.lerp_mix(
+                    _kernels_np.lerp_mix(
                         mixed[mi, s:e], sig, dist * scale, 1.0 / np.maximum(dist, 0.5), lead + s
                     )
     return mixed, t0
 
 
-def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000) -> RenderedRecording:
-    """Simulate the scene into a multichannel clip with ground-truth t0.
+def render(scenario: Scenario, geometry: ArrayGeometry) -> RenderedRecording:
+    """Simulate the scene at 48 kHz into a multichannel clip with ground-truth t0.
 
     Beyond the (m, n) result, the working set is about one channel: the
     source signal while the paths are mixed, then one channel's noise.
     """
-    fs = sample_rate
+    fs = 48000
     n = int(round(scenario.duration * fs))
     m = geometry.n_mics
     if scenario.path is None:
@@ -446,9 +446,9 @@ def render(scenario: Scenario, geometry: ArrayGeometry, sample_rate: int = 48000
 # stock scenes and benchmark generation
 
 
-def random_planar_array(n_mics: int = 8, width: float = 0.8, height: float = 0.7,
-                        seed: int = 0) -> ArrayGeometry:
-    """Semi-random vertical planar array: jittered x slots, random heights.
+def random_planar_array(n_mics: int = 8, seed: int = 0) -> ArrayGeometry:
+    """Semi-random vertical planar array, 0.8 m wide and 0.7 m high: jittered
+    x slots, random heights.
 
     One microphone per horizontal slot keeps the aperture fully used while the
     jitter breaks up grating symmetries, similar in spirit to measured ad-hoc
@@ -457,9 +457,9 @@ def random_planar_array(n_mics: int = 8, width: float = 0.8, height: float = 0.7
     if n_mics < 2:
         raise ValueError("need at least 2 microphones")
     rng = np.random.default_rng(seed)
-    slot = width / n_mics
-    x = -width / 2 + slot * (np.arange(n_mics) + rng.uniform(0.15, 0.85, n_mics))
-    y = rng.uniform(-height / 2, height / 2, n_mics)
+    slot = 0.8 / n_mics
+    x = -0.4 + slot * (np.arange(n_mics) + rng.uniform(0.15, 0.85, n_mics))
+    y = rng.uniform(-0.35, 0.35, n_mics)
     positions = np.column_stack([x, y, np.zeros(n_mics)])
     return ArrayGeometry(positions)
 

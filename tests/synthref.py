@@ -19,6 +19,9 @@ The scalar geometry helpers (``line_of_sight``, ``image_sources``,
 ``specular_valid``) and ``hann_window`` are the one-point forms of the
 renderer's batched occlusion and reflection tests and of the window that
 ``stft`` applies as three spectral lines.
+
+The fold oracle is ``dataset.stratified_folds`` with its balancing loop
+written out per fold choice and per class.
 """
 
 import numpy as np
@@ -243,3 +246,39 @@ def train_reference(samples, lam):
         calib.append(fit_platt_reference(z @ w + b, y > 0))
         traces.append(trace)
     return np.array(weights), np.array(biases), np.array(calib), traces
+
+
+def stratified_folds_reference(samples, k, seed):
+    """``dataset.stratified_folds`` scored one fold choice and one class at a
+    time: groups largest first in a seeded tie order, each to the fold whose
+    choice leaves the smallest summed per-class spread, then the smaller
+    fold, then the lower index."""
+    labels = sorted({s.label for s in samples})
+    groups = {}
+    for s in samples:
+        groups.setdefault(s.meta.recording_id, []).append(s)
+    keys = sorted(groups)
+    np.random.default_rng(seed).shuffle(keys)
+    keys.sort(key=lambda rid: -len(groups[rid]))
+    fold_counts = np.zeros((k, len(labels)), dtype=np.int64)
+    fold_sizes = np.zeros(k, dtype=np.int64)
+    folds = [[] for _ in range(k)]
+    for rid in keys:
+        group_vec = np.zeros(len(labels), dtype=np.int64)
+        for s in groups[rid]:
+            group_vec[labels.index(s.label)] += 1
+        best = None
+        for f in range(k):
+            spread = 0
+            for c in range(len(labels)):
+                col = fold_counts[:, c].copy()
+                col[f] += group_vec[c]
+                spread += col.max() - col.min()
+            key = (spread, fold_sizes[f] + len(groups[rid]), f)
+            if best is None or key < best[0]:
+                best = (key, f)
+        f = best[1]
+        fold_counts[f] += group_vec
+        fold_sizes[f] += len(groups[rid])
+        folds[f].extend(groups[rid])
+    return folds

@@ -436,6 +436,11 @@ def _config_without_hop(p):
     p["config_hash"] = config_hash(p["config"])
 
 
+def _float_segments(p):
+    p["config"]["segments"] = 2.0
+    p["config_hash"] = config_hash(p["config"])
+
+
 def _long_biases(p):
     p["biases"].append(0.0)
 
@@ -486,6 +491,7 @@ MODEL_EDITS = {
     "denormal-std": (_denormal_std, "scaler_std must be at least 1e-12"),
     "config-hash": (_edited_config, "config_hash"),
     "config-key": (_config_without_hop, "hop"),
+    "config-float-segments": (_float_segments, "segments must be an integer"),
     "truncated": (None, "not JSON"),
 }
 

@@ -71,13 +71,14 @@ def test_version_banner(capsys):
 def test_config_precedence(tmp_path):
     """Defaults lose to the config file, the config file loses to flags."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"lambda": 3.0, "stride": 0.25}))
+    cfg.write_text(json.dumps({"lambda": 3.0, "stride": 0.25, "window": 1}))
     parser = build_parser()
     base = ["eval", "f.csv", "--out", "r.json", "--config", str(cfg)]
     run = resolve_run_config(parser.parse_args(base))
     assert run["lambda"] == 3.0
     assert run["stride"] == 0.25
     assert run["folds"] == 5  # untouched default
+    assert type(run["window"]) is int  # a config value is kept as given
     run = resolve_run_config(parser.parse_args(base + ["--lambda", "5.0"]))
     assert run["lambda"] == 5.0
     assert run["stride"] == 0.25
@@ -103,6 +104,19 @@ def test_exit_codes_for_bad_configuration(tmp_path, capsys):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["train", "f.csv", "--out", "m.json", "--config", str(not_object)]) == 2
+
+    capsys.readouterr()
+
+    # a value must already have its option's JSON type
+    for i, values in enumerate([{"segments": 2.0}, {"bins": 30.0}, {"lambda": "1"},
+                                {"folds": None}, {"stride": "0.1"}, {"seed": 1.5},
+                                {"hop": True}, {"augment": 1}, {"baseline": 3}]):
+        typo = tmp_path / f"typo{i}.json"
+        typo.write_text(json.dumps(values))
+        assert main(["extract", "m.csv", "--out", "f.csv", "--config", str(typo)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"earshot: error: {typo}: {next(iter(values))} must be ")
+        assert err.count("\n") == 1
 
     # flag validation runs before any file is touched
     assert main(["train", "f.csv", "--out", "m.json", "--lambda", "0"]) == 2
@@ -331,7 +345,7 @@ def test_micstudy_reads_only_the_spans_extract_reads(tmp_path, bench_dir, bench_
                                                      monkeypatch, capsys):
     """Every WAV read of `micstudy` is the span `extract` reads for that
     recording, once per trial; no file is read whole."""
-    from earshot import cli, dataset, evaluate
+    from earshot import cli, dataset
 
     reads = []
 
@@ -339,7 +353,7 @@ def test_micstudy_reads_only_the_spans_extract_reads(tmp_path, bench_dir, bench_
         reads.append((str(path), start, stop))
         return load_wav(path, start, stop)
 
-    for module in (cli, dataset, evaluate):
+    for module in (cli, dataset):
         monkeypatch.setattr(module, "load_wav", spy)
     assert main(["extract", bench_dir, "--out", str(tmp_path / "f.csv")]) == 0
     spans = sorted(reads)

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from earshot.synth import random_planar_array
 from earshot.util import parallel_map
 from earshot.audio import save_geometry
 
+from synthref import stratified_folds_reference
+
 
 def entry(situation="right", motion="static", t0=8.0, tau0=None, wav="r.wav"):
     return ManifestEntry(wav=wav, geometry="g.json", situation=situation,
@@ -61,10 +64,6 @@ def test_extraction_times_dynamic():
 def test_extraction_times_none():
     e = ManifestEntry(wav="n.wav", geometry="g.json", situation="none")
     assert extraction_times(e, duration=10.0) == [("none", 5.0)]
-    assert extraction_times(e, duration=10.0, none_probes=[2.0, 9.0]) == [
-        ("none", 2.0),
-        ("none", 9.0),
-    ]
 
 
 def test_manifest_entry_validation():
@@ -600,3 +599,21 @@ def test_folds_errors():
         stratified_folds(samples, k=5)
     with pytest.raises(ValueError):
         stratified_folds(samples, k=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       recordings=st.lists(st.lists(st.sampled_from(("left", "front", "right", "none")),
+                                    min_size=1, max_size=3), min_size=2, max_size=40))
+def test_folds_equal_the_per_class_loop(k, seed, recordings):
+    """The broadcast fold scoring picks the fold the per-choice, per-class
+    loop picks, for every group."""
+    feature = stub("none", "x").feature
+    samples = [LabeledSample(feature, label, SampleMeta(f"r{i}"))
+               for i, labels in enumerate(recordings) for label in labels]
+    counts = Counter(s.label for s in samples)
+    samples = [s for s in samples if counts[s.label] >= k]  # each class needs k samples
+    if samples:
+        got = stratified_folds(samples, k, seed)
+        want = stratified_folds_reference(samples, k, seed)
+        assert [[id(s) for s in f] for f in got] == [[id(s) for s in f] for f in want]

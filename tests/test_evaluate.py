@@ -57,9 +57,11 @@ def blob_corpus(per_class=10, tag=""):
 
 def test_confusion_matrix_mechanics():
     cm = ConfusionMatrix()
-    cm.add("left", "left", 3)
+    for _ in range(3):
+        cm.add("left", "left")
     cm.add("left", "front")
-    cm.add("none", "left", 2)
+    for _ in range(2):
+        cm.add("none", "left")
     assert cm.total == 6
     assert cm.tp("left") == 3
     assert cm.fn("left") == 1
@@ -312,7 +314,8 @@ def test_accepted_labels_needs_t0():
 
 def test_sliding_window_scores(bench_manifest, bench_model, default_config):
     entry = next(e for e in bench_manifest if e.situation == "right")
-    scores = sliding_window_eval(entry, bench_model, default_config, hop_seconds=0.1)
+    scores = sliding_window_eval(entry, bench_model, default_config, hop_seconds=0.1,
+                                 clip=load_wav(entry.wav), geometry=load_geometry(entry.geometry))
     times = [s.t_e for s in scores]
     assert times[0] == 1.0
     assert np.allclose(np.diff(times), 0.1)
@@ -331,7 +334,9 @@ def test_side_probability_rises_into_line_of_sight(
     for entry in bench_manifest:
         if entry.situation != "right":
             continue
-        scores = sliding_window_eval(entry, bench_model, default_config, 0.1)
+        scores = sliding_window_eval(entry, bench_model, default_config, 0.1,
+                                     clip=load_wav(entry.wav),
+                                     geometry=load_geometry(entry.geometry))
         t = np.array([s.t_e for s in scores])
         p_right = np.array([s.probs[2] for s in scores])
         curves.append(np.interp(entry.t0 + offsets, t, p_right))
@@ -350,7 +355,8 @@ def test_side_probability_rises_into_line_of_sight(
 
 def test_window_scores_csv(bench_manifest, bench_model, default_config):
     entry = next(e for e in bench_manifest if e.situation == "left")
-    scores = sliding_window_eval(entry, bench_model, default_config, 0.5)
+    scores = sliding_window_eval(entry, bench_model, default_config, 0.5,
+                                 clip=load_wav(entry.wav), geometry=load_geometry(entry.geometry))
     text = window_scores_to_csv(scores, preamble={"recording": entry.recording_id})
     lines = text.splitlines()
     assert lines[0] == f"# recording: {entry.recording_id}"

@@ -19,6 +19,7 @@ from earshot.features import (
     save_features,
 )
 from earshot.synth import random_planar_array
+from earshot.util import config_hash
 from synthref import render_plane_wave
 
 GEOM = random_planar_array(6, seed=4)
@@ -274,6 +275,16 @@ def _edit_config(change):
     return apply
 
 
+def _edit_config_and_hash(change):
+    """Edit the config and write the matching config_hash, as a careful hand
+    edit would."""
+    def apply(lines):
+        _edit_config(change)(lines)
+        config = json.loads(lines[_index(lines, "# config: ")][len("# config: "):])
+        lines[_index(lines, "# config_hash: ")] = "# config_hash: " + config_hash(config)
+    return apply
+
+
 def _garble_config(lines):
     i = _index(lines, "# config: ")
     lines[i] = lines[i][:-1]  # drop the closing brace
@@ -311,6 +322,10 @@ CACHE_EDITS = {
     "config-without-hop": (_edit_config(lambda c: c.pop("hop")), "bad config"),
     "config-unknown-key": (_edit_config(lambda c: c.update(taps=3)), "bad config"),
     "config-not-json": (_garble_config, "bad config"),
+    "config-float-segments": (_edit_config_and_hash(lambda c: c.update(segments=2.0)),
+                              "segments must be an integer"),
+    "config-bool-hop": (_edit_config_and_hash(lambda c: c.update(hop=True)),
+                        "hop must be an integer"),
     "edited-fmax": (_edit_config(lambda c: c.update(f_max=1400.0)), "config_hash"),
     "no-config-hash": (_drop_line("# config_hash:"), "missing config preamble"),
     "no-config": (_drop_line("# config:"), "missing config preamble"),

@@ -54,3 +54,23 @@ def test_only_util_starts_threads():
     """The one thread pool lives in util.py (parallel_map): no other module
     imports threading or concurrent.futures, so no second pool grows back."""
     assert _imports_outside_util(("threading", "concurrent")) == []
+
+
+def test_only_the_package_root_imports_backend():
+    """The package calls _kernels_np directly: no module but __init__.py
+    imports _backend, which serves only earshot.BACKEND and the benchmark's
+    tracer.  Relative imports count too."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "earshot").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_backend" for n in names):
+                offenders.append(path.name)
+    assert offenders == []

@@ -133,7 +133,7 @@ def test_none_scene_is_floor_noise():
 def test_reported_t0_is_first_line_of_sight_sample():
     scenario = t_junction_scenario("left", env_type="A", seed=9)
     geom = random_planar_array(4, seed=0)
-    rec = render(scenario, geom, sample_rate=48000)
+    rec = render(scenario, geom)
     fs = rec.clip.sample_rate
     center = np.asarray(scenario.pose.position)
 
@@ -202,7 +202,7 @@ def test_scenario_json_round_trip(tmp_path):
 
 
 def test_random_planar_array_properties():
-    geom = random_planar_array(8, width=0.8, height=0.7, seed=0)
+    geom = random_planar_array(8, seed=0)
     assert geom.n_mics == 8
     assert np.all(np.abs(geom.positions[:, 0]) <= 0.4)
     assert np.all(np.abs(geom.positions[:, 1]) <= 0.35)
