@@ -29,20 +29,19 @@ It never predicts "none".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .beamform import DoaResponse, argmax_doa
 from .features import LABELS, DoaFeature, PipelineConfig
-from .util import canonical_json, config_hash, write_text
+from .util import canonical_json, write_text
 
 CLASS_ORDER = LABELS  # (left, front, right, none)
 
 MODEL_FORMAT = "earshot-svm"
 MODEL_VERSION = 1
-_MODEL_KEYS = ("class_order", "weights", "biases", "scaler_mean", "scaler_std", "calib_a",
-               "calib_b", "lambda", "seed", "feature_dim", "config", "config_hash")
 
 
 class ModelFormatError(ValueError):
@@ -57,37 +56,44 @@ class Prediction:
     probs: np.ndarray
 
 
+def _array(*axes):
+    """An array field of the model; each axis is "classes" or "dims" long."""
+    return field(metadata={"axes": axes})
+
+
 @dataclass
 class SvmModel:
-    weights: np.ndarray  # (classes, dim)
-    biases: np.ndarray  # (classes,)
-    scaler_mean: np.ndarray
-    scaler_std: np.ndarray
-    calib_a: np.ndarray
-    calib_b: np.ndarray
+    weights: np.ndarray = _array("classes", "dims")
+    biases: np.ndarray = _array("classes")
+    scaler_mean: np.ndarray = _array("dims")
+    scaler_std: np.ndarray = _array("dims")
+    calib_a: np.ndarray = _array("classes")
+    calib_b: np.ndarray = _array("classes")
     lam: float
     seed: int
-    feature_dim: int
-    config: dict
+    config: PipelineConfig
     class_order: tuple = CLASS_ORDER
     objective_history: list = field(default_factory=list, repr=False)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.config.feature_dim
 
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "class_order": list(self.class_order),
-            "weights": [[float(v) for v in row] for row in self.weights],
-            "biases": [float(v) for v in self.biases],
-            "scaler_mean": [float(v) for v in self.scaler_mean],
-            "scaler_std": [float(v) for v in self.scaler_std],
-            "calib_a": [float(v) for v in self.calib_a],
-            "calib_b": [float(v) for v in self.calib_b],
+            **{key: np.asarray(getattr(self, key), dtype=np.float64).tolist() for key in _ARRAYS},
             "lambda": float(self.lam),
             "seed": int(self.seed),
-            "feature_dim": int(self.feature_dim),
-            "config": self.config,
+            "feature_dim": self.feature_dim,
+            "config": self.config.to_dict(),
         }
+
+
+_ARRAYS = {f.name: f.metadata["axes"] for f in fields(SvmModel) if "axes" in f.metadata}
+_MODEL_KEYS = ("class_order", *_ARRAYS, "lambda", "seed", "feature_dim", "config", "config_hash")
 
 
 _MIN_STD = 1e-12  # smaller feature spreads standardize with 1.0 instead
@@ -249,8 +255,8 @@ def train_many(sample_sets, lam: float, seeds) -> list:
     """
     sets = [list(samples) for samples in sample_sets]
     seeds = list(seeds)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError("lam must be finite and positive")
     if len(seeds) != len(sets):
         raise ValueError(f"{len(sets)} sample sets but {len(seeds)} seeds")
     for samples in sets:
@@ -290,8 +296,7 @@ def train_many(sample_sets, lam: float, seeds) -> list:
             calib_b=calib_b,
             lam=lam,
             seed=seeds[p],
-            feature_dim=dim,
-            config=samples[0].feature.config.to_dict(),
+            config=samples[0].feature.config,
             objective_history=[traces[:, p, c].tolist() for c in range(n_classes)],
         ))
     return models
@@ -335,7 +340,7 @@ def doa_baseline(response: DoaResponse, alpha_th: float = 50.0) -> str:
 def save_model(model: SvmModel, path, extra: dict | None = None) -> None:
     """Serialize the model as canonical JSON, with optional provenance fields."""
     payload = model.to_dict()
-    payload["config_hash"] = config_hash(payload["config"])
+    payload["config_hash"] = model.config.hash
     payload.update(extra or {})
     write_text(path, canonical_json(payload) + "\n")
 
@@ -345,9 +350,9 @@ def load_model(path) -> SvmModel:
 
     Raises ModelFormatError for text that is not JSON, a foreign format or
     version, a missing key, a class order other than CLASS_ORDER, a config
-    that does not parse or does not match its ``config_hash``, an array of
-    the wrong shape ((classes, feature_dim) weights, (classes,) biases and
-    calibration, (feature_dim,) scaler), a non-finite value, a
+    that does not parse or does not match its ``config_hash``, a lambda
+    that is not finite and positive, an array of a shape other than its
+    ``_ARRAYS`` axes give, a non-finite value, a
     scaler_std <= 0 or below 1e-12 (``train`` never writes one), or numbers
     that make ``predict`` overflow on some feature in [0, 1]^dim: the bound
     |a_c| (sum_d |w_cd| (1 + |mean_d|) / std_d + |b_c|) + |b'_c| on the Platt
@@ -379,13 +384,15 @@ def load_model(path) -> SvmModel:
         raise ModelFormatError(f"{path}: {exc}") from None
     if config.hash != payload["config_hash"]:
         raise ModelFormatError(f"{path}: config_hash does not match the stored config")
-    dim, n = config.feature_dim, len(CLASS_ORDER)
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ModelFormatError(f"{path}: lambda must be finite and positive, got {lam}")
+    dim = config.feature_dim
     if payload["feature_dim"] != dim:
         raise ModelFormatError(f"{path}: feature_dim must be {dim} for the stored config")
-    shapes = {"weights": (n, dim), "biases": (n,), "scaler_mean": (dim,),
-              "scaler_std": (dim,), "calib_a": (n,), "calib_b": (n,)}
+    lengths = {"classes": len(CLASS_ORDER), "dims": dim}
     arrays = {}
-    for key, shape in shapes.items():
+    for key, axes in _ARRAYS.items():
+        shape = tuple(lengths[axis] for axis in axes)
         try:
             value = np.asarray(payload[key], dtype=np.float64)
         except (TypeError, ValueError):
@@ -408,4 +415,4 @@ def load_model(path) -> SvmModel:
     if not np.all(np.isfinite(bound)):
         raise ModelFormatError(f"{path}: weights, biases, scaler and calibration "
                                "make predict overflow")
-    return SvmModel(**arrays, lam=lam, seed=seed, feature_dim=dim, config=payload["config"])
+    return SvmModel(**arrays, lam=lam, seed=seed, config=config)

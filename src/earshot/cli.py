@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -87,7 +88,8 @@ def resolve_run_config(args) -> dict:
     """Defaults, then the --config file, then explicit flags.
 
     A --config value must have its option's JSON type (an integer is a
-    number, true and false are neither) and is kept as given.
+    number, true and false are neither) and is kept as given.  Every float
+    option must be finite, from a flag or a --config file alike.
     """
     defaults = PipelineConfig()
     run = {key: getattr(defaults, o.field) if o.field else o.default
@@ -111,13 +113,17 @@ def resolve_run_config(args) -> dict:
         if value is not None:
             run[key] = value
 
+    for key, o in _OPTIONS.items():
+        # NaN fails the comparison; an int too large for math.isfinite passes it
+        if o.kind is float and not -math.inf < run[key] < math.inf:
+            raise UsageError(f"{key.replace('_', '-')} must be finite, got {run[key]}")
     if run["baseline"] not in ("svm", "doa"):
         raise UsageError("baseline must be 'svm' or 'doa'")
-    if run["lambda"] <= 0:
+    if not (run["lambda"] > 0):
         raise UsageError("lambda must be positive")
     if run["folds"] < 2:
         raise UsageError("folds must be at least 2")
-    if run["stride"] <= 0:
+    if not (run["stride"] > 0):
         raise UsageError("stride must be positive")
     if not 0.0 <= run["alpha_th"] <= 90.0:
         raise UsageError("alpha-th must lie in [0, 90]")
@@ -142,13 +148,12 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _require_config_match(stored: dict, run: dict, source: str) -> None:
+def _require_config_match(stored: PipelineConfig, run: dict, source: str) -> None:
     """Flags must agree with the extraction config baked into an artifact."""
-    wanted = _pipeline(run)
-    if PipelineConfig.from_dict(stored) != wanted:
+    if stored != _pipeline(run):
         raise ValueError(
             f"{source} was built with a different extraction config "
-            f"{canonical_json(stored)}; pass matching flags or a matching --config"
+            f"{canonical_json(stored.to_dict())}; pass matching flags or a matching --config"
         )
 
 
@@ -176,9 +181,7 @@ def cmd_extract(args, run: dict) -> int:
 
 def cmd_train(args, run: dict) -> int:
     samples = load_features(args.features)
-    if not samples:
-        raise ValueError(f"{args.features}: no samples in feature cache")
-    _require_config_match(samples[0].feature.config.to_dict(), run, args.features)
+    _require_config_match(samples[0].feature.config, run, args.features)
     if run["augment"]:
         samples = augment_training_set(samples)
     model = train(samples, lam=run["lambda"], seed=run["seed"])
@@ -220,9 +223,7 @@ def cmd_predict(args, run: dict) -> int:
 
 def cmd_eval(args, run: dict) -> int:
     samples = load_features(args.features)
-    if not samples:
-        raise ValueError(f"{args.features}: no samples in feature cache")
-    _require_config_match(samples[0].feature.config.to_dict(), run, args.features)
+    _require_config_match(samples[0].feature.config, run, args.features)
     if run["baseline"] == "doa":
         report = doa_baseline_eval(samples, alpha_th=run["alpha_th"])
         skipped = sum(1 for s in samples if s.label == "none")

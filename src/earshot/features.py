@@ -15,6 +15,7 @@ a training-time operation only; nothing here ever touches test samples.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -53,7 +54,10 @@ class PipelineConfig:
                     value, numbers.Integral if integral else numbers.Real):
                 name = "an integer" if integral else "a number"
                 raise TypeError(f"{f.name} must be {name}, got {value!r}")
-        if self.sample_len <= 0:
+            # NaN fails the comparison; an int too large for math.isfinite passes it
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not (self.sample_len > 0):
             raise ValueError("sample_len must be positive")
         if self.segments < 1:
             raise ValueError("segments must be >= 1")
@@ -209,9 +213,9 @@ def load_features(path) -> list:
     """Read a feature cache CSV back into LabeledSamples.
 
     The cache checks itself: the ``# config:`` line must parse and match the
-    ``# config_hash:`` line, the header must name the config's columns, and
-    every row must hold one value per column.  A violation is a ValueError
-    that names the line at fault.
+    ``# config_hash:`` line, the header must name the config's columns and
+    be followed by at least one row, and every row must hold one value per
+    column.  A violation is a ValueError that names the line at fault.
     """
     preamble, rows = read_csv(path)
     if "config" not in preamble or "config_hash" not in preamble:
@@ -229,6 +233,8 @@ def load_features(path) -> list:
     at, header = rows[0]
     if header != cols:
         raise ValueError(f"{path}:{at}: expected header {','.join(cols[:6])},...,{cols[-1]}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}:{at}: no samples after the header")
     samples = []
     for at, parts in rows[1:]:
         try:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -165,11 +166,17 @@ class SignalSpec:
     tone_harmonics: int = 4
     tone_gain: float = 0.5
 
+    def __post_init__(self):
+        self.band = tuple(self.band)
+
 
 @dataclass
 class ArrayPose:
     position: tuple = (0.0, 0.0)
     heading_deg: float = 0.0
+
+    def __post_init__(self):
+        self.position = tuple(self.position)
 
 
 @dataclass
@@ -194,48 +201,38 @@ class Scenario:
             raise ValueError(f"{self.label} scenario needs a source path")
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "duration": self.duration,
-            "seed": self.seed,
-            "walls": self.walls.tolist(),
-            "path": None
-            if self.path is None
-            else {"times": self.path.times.tolist(), "points": self.path.points.tolist()},
-            "signal": {
-                "band": list(self.signal.band),
-                "tone_fundamental": self.signal.tone_fundamental,
-                "tone_harmonics": self.signal.tone_harmonics,
-                "tone_gain": self.signal.tone_gain,
-            },
-            "pose": {"position": list(self.pose.position), "heading_deg": self.pose.heading_deg},
-            "snr_db": self.snr_db,
-            "noise_floor": self.noise_floor,
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """Inverse of ``to_dict``; every key it writes is required."""
-        path = d["path"]
-        if path is not None:
-            path = SourcePath(np.asarray(path["times"]), np.asarray(path["points"]))
-        sig, pose = d["signal"], d["pose"]
-        return cls(
-            label=d["label"],
-            duration=d["duration"],
-            seed=d["seed"],
-            walls=np.asarray(d["walls"]).reshape(-1, 2, 2),
-            path=path,
-            signal=SignalSpec(
-                band=tuple(sig["band"]),
-                tone_fundamental=sig["tone_fundamental"],
-                tone_harmonics=sig["tone_harmonics"],
-                tone_gain=sig["tone_gain"],
-            ),
-            pose=ArrayPose(position=tuple(pose["position"]), heading_deg=pose["heading_deg"]),
-            snr_db=d["snr_db"],
-            noise_floor=d["noise_floor"],
-        )
+        return _build(cls, d)
+
+
+def _plain(value):
+    """A scene part as JSON data: a dataclass as the dict of its fields, an
+    array or a tuple as a list, anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _build(kind, data: dict):
+    """Inverse of ``_plain`` for the dataclass ``kind``: each field is taken
+    by name (a missing one is a KeyError), and a field whose type is a
+    dataclass, or an optional one, is built the same way unless it is None."""
+    hints = get_type_hints(kind)
+    values = {}
+    for f in fields(kind):
+        value = data[f.name]
+        part = next((t for t in get_args(hints[f.name]) or (hints[f.name],) if is_dataclass(t)),
+                    None)
+        values[f.name] = value if part is None or value is None else _build(part, value)
+    return kind(**values)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -71,8 +71,7 @@ def zero_model(dim=60):
         calib_b=np.zeros(n),
         lam=1.0,
         seed=0,
-        feature_dim=dim,
-        config=CFG.to_dict(),
+        config=CFG,
     )
 
 
@@ -457,6 +456,19 @@ def _feature_dim(p):
     p["feature_dim"] = 59
 
 
+def _nan_lambda(p):
+    p["lambda"] = float("nan")
+
+
+def _zero_lambda(p):
+    p["lambda"] = 0.0
+
+
+def _nan_window(p):
+    p["config"]["sample_len"] = float("nan")
+    p["config_hash"] = config_hash(p["config"])
+
+
 def _swapped_sides(p):
     p["class_order"] = ["right", "front", "left", "none"]
 
@@ -492,6 +504,9 @@ MODEL_EDITS = {
     "config-hash": (_edited_config, "config_hash"),
     "config-key": (_config_without_hop, "hop"),
     "config-float-segments": (_float_segments, "segments must be an integer"),
+    "config-nan-window": (_nan_window, "sample_len must be finite"),
+    "nan-lambda": (_nan_lambda, "lambda must be finite and positive"),
+    "zero-lambda": (_zero_lambda, "lambda must be finite and positive"),
     "truncated": (None, "not JSON"),
 }
 
@@ -550,7 +565,7 @@ def test_model_file_round_trip(tmp_path_factory, data, config, lam, seed, tame):
         scaler_std=data.draw(arrays(np.float64, dim, elements=spread)),
         calib_a=data.draw(arrays(np.float64, n, elements=values)),
         calib_b=data.draw(arrays(np.float64, n, elements=values)),
-        lam=lam, seed=seed, feature_dim=dim, config=config.to_dict(),
+        lam=lam, seed=seed, config=config,
     )
     path = tmp_path_factory.mktemp("rt") / "m.json"
     save_model(model, path, extra={"origin": "round-trip"})

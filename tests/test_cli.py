@@ -126,6 +126,21 @@ def test_exit_codes_for_bad_configuration(tmp_path, capsys):
                  "--stride", "-1"]) == 2
     capsys.readouterr()
 
+    # NaN and infinity name their option, from a flag or a --config file
+    cases = [(["train", "f.csv", "--out", "m.json", "--lambda", "nan"], "lambda"),
+             (["predict", "a.wav", "g.json", "--model", "m.json", "--stride", "inf"], "stride"),
+             (["extract", "m.csv", "--out", "f.csv", "--window", "inf"], "window"),
+             (["extract", "m.csv", "--out", "f.csv", "--window", "nan"], "window"),
+             (["extract", "m.csv", "--out", "f.csv", "--fmax", "inf"], "fmax")]
+    for option, text in [("lambda", '{"lambda": NaN}'), ("stride", '{"stride": Infinity}')]:
+        config = tmp_path / f"nonfinite-{option}.json"
+        config.write_text(text)
+        cases.append((["train", "f.csv", "--out", "m.json", "--config", str(config)], option))
+    for argv, option in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"earshot: error: {option} must be finite") and err.count("\n") == 1
+
 
 def test_exit_codes_for_io_problems(tmp_path, capsys):
     assert main(["doa", str(tmp_path / "nope.wav"), str(tmp_path / "g.json")]) == 3

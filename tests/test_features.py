@@ -312,6 +312,13 @@ def _edit_row(change, message):
     return apply
 
 
+def _drop_rows(lines):
+    """Keep the preamble and the header only; the error must name the header's line."""
+    i = _index(lines, "recording_id,")
+    del lines[i + 1:]
+    return f":{i + 1}: no samples after the header"
+
+
 def _set(index, value):
     return lambda fields: fields.__setitem__(index, value)
 
@@ -326,6 +333,8 @@ CACHE_EDITS = {
                               "segments must be an integer"),
     "config-bool-hop": (_edit_config_and_hash(lambda c: c.update(hop=True)),
                         "hop must be an integer"),
+    "config-nan-window": (_edit_config_and_hash(lambda c: c.update(sample_len=float("nan"))),
+                          "sample_len must be finite"),
     "edited-fmax": (_edit_config(lambda c: c.update(f_max=1400.0)), "config_hash"),
     "no-config-hash": (_drop_line("# config_hash:"), "missing config preamble"),
     "no-config": (_drop_line("# config:"), "missing config preamble"),
@@ -337,6 +346,7 @@ CACHE_EDITS = {
     "nan-energy": (_edit_row(_set(9, "nan"), "feature energies must be finite"), None),
     "label": (_edit_row(_set(1, "up"), "label must be one of"), None),
     "t_e": (_edit_row(_set(4, "soon"), "could not convert"), None),
+    "no-rows": (_drop_rows, None),
 }
 
 

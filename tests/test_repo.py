@@ -1,6 +1,7 @@
 """Repository hygiene checks: git leftovers and the package's module layout."""
 
 import ast
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -74,3 +75,32 @@ def test_only_the_package_root_imports_backend():
             if any(n.split(".")[-1] == "_backend" for n in names):
                 offenders.append(path.name)
     assert offenders == []
+
+
+def test_package_root_binds_only_backend_and_version():
+    """Every other name is imported from its own module, so the root holds
+    no second import path that could drift from it."""
+    tree = ast.parse((ROOT / "src" / "earshot" / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"BACKEND", "__version__"}
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    """The README's Python API block runs as written, beside a corpus that
+    ``earshot simulate`` would write."""
+    from earshot.synth import make_benchmark
+
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    make_benchmark(tmp_path / "corpus", per_class=1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})

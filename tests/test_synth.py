@@ -508,6 +508,49 @@ def test_scenario_dict_missing_key_raises(key):
         Scenario.from_dict(d)
 
 
+_coords = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def _scenarios(draw):
+    """Any scene a scenario file can hold: 0-4 walls, no path or 1-6
+    waypoints, a signal with or without a tone, a pose and the noise levels."""
+    walls = draw(st.lists(st.lists(_coords, min_size=4, max_size=4), max_size=4))
+    n = draw(st.integers(0, 6))
+    path = None
+    if n:
+        steps = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
+        times = draw(st.floats(-5.0, 5.0)) + np.cumsum(steps)
+        path = SourcePath(times, draw(st.lists(st.tuples(_coords, _coords), min_size=n,
+                                               max_size=n)))
+    low = draw(st.floats(1.0, 1000.0))
+    signal = SignalSpec(band=(low, low + draw(st.floats(1.0, 20000.0))),
+                        tone_fundamental=draw(st.none() | st.floats(20.0, 500.0)),
+                        tone_harmonics=draw(st.integers(1, 8)),
+                        tone_gain=draw(st.floats(0.0, 1.0)))
+    return Scenario(label=draw(st.sampled_from(["left", "right", "none"] if path else ["none"])),
+                    duration=draw(st.floats(0.01, 30.0)), seed=draw(st.integers(0, 2**32 - 1)),
+                    walls=walls, path=path, signal=signal,
+                    pose=ArrayPose((draw(_coords), draw(_coords)),
+                                   heading_deg=draw(st.floats(-180.0, 180.0))),
+                    snr_db=draw(st.floats(-10.0, 40.0)), noise_floor=draw(st.floats(0.0, 0.1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=_scenarios())
+def test_scenario_file_round_trip(tmp_path_factory, scenario):
+    """load_scenario(save_scenario(s)) gives s back field for field, and
+    saving the loaded scene again writes the same bytes."""
+    path = tmp_path_factory.mktemp("scene") / "scene.json"
+    save_scenario(scenario, path)
+    back = load_scenario(path)
+    assert back.to_dict() == scenario.to_dict()
+    assert back.signal == scenario.signal and back.pose == scenario.pose
+    again = path.with_name("again.json")
+    save_scenario(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_blocked_matrix_matches_reference_on_touching_and_collinear_segments():
     rng = np.random.default_rng(5)
     # small integer grids make endpoints touch and segments run collinear
