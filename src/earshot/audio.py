@@ -144,17 +144,30 @@ def save_geometry(geometry: ArrayGeometry, path) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _json_numbers(value, key):
+    """``value`` with every leaf checked to be a JSON number, never a bool."""
+    if isinstance(value, list):
+        for item in value:
+            _json_numbers(item, key)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: could not convert {json.dumps(value)} to a number")
+    return value
+
+
 def load_geometry(path) -> ArrayGeometry:
     """Read a ``save_geometry`` file.  Text that is not JSON, a missing key,
+    a value that is not a JSON number (a bool or a numeric string included),
     or a bad shape or value is a ValueError naming the file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        positions = np.asarray(payload["positions"], dtype=np.float64)
-        return ArrayGeometry(positions, float(payload["speed_of_sound"]))
+        positions = np.asarray(_json_numbers(payload["positions"], "positions"),
+                               dtype=np.float64)
+        return ArrayGeometry(positions,
+                             float(_json_numbers(payload["speed_of_sound"], "speed_of_sound")))
     except KeyError as exc:
         raise ValueError(f"{path}: geometry file lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:  # undecodable or non-JSON text included
+    except (TypeError, ValueError, OverflowError) as exc:  # undecodable or non-JSON text included
         raise ValueError(f"{path}: bad geometry file: {exc}") from None
 
 

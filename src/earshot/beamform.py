@@ -95,8 +95,17 @@ def steering_delays(geometry: ArrayGeometry, azimuth_deg) -> np.ndarray:
 
 
 def _whiten(spectrum: np.ndarray) -> np.ndarray:
-    """Each cell divided by max(|.|, 1e-12): phase only, and zero stays zero."""
-    return spectrum / np.maximum(np.abs(spectrum), PHAT_EPSILON)
+    """Each cell divided by max(|.|, 1e-12): phase only, and zero stays zero.
+
+    The real and imaginary parts are each multiplied by one real reciprocal.
+    That gives a complex division's bits for less work, except that a zero
+    part keeps its sign, where the division may flip it.
+    """
+    scale = 1.0 / np.maximum(np.abs(spectrum), PHAT_EPSILON)
+    whitened = np.empty_like(spectrum)
+    np.multiply(spectrum.real, scale, out=whitened.real)
+    np.multiply(spectrum.imag, scale, out=whitened.imag)
+    return whitened
 
 
 def gcc_phat_cross(stack: StftStack, i, j) -> np.ndarray:

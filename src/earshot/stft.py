@@ -72,8 +72,11 @@ def stft(
     its three spectral lines (module docstring) to the kept bins only, and
     the result goes into the channel's own slice of the stack.  So the
     working arrays hold one channel's spectrum per thread, never the whole
-    clip's.  A call from inside a pool task, as in ``extract_manifest``,
-    transforms its channels one at a time on the calling thread.
+    clip's.  The pool's helper threads persist and are reused from window to
+    window, named ``earshot-stft-k`` only while they transform its channels,
+    so a window pays to wake a helper, not to start one.  A call from inside
+    a pool task, as in ``extract_manifest``, transforms its channels one at a
+    time on the calling thread.
 
     ``band=(f_min, f_max)`` keeps only the bins that ``band_select`` keeps
     and equals ``band_select(stft(clip, frame_len, hop), f_min, f_max)`` in

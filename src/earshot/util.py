@@ -125,20 +125,82 @@ class _PoolState(threading.local):
 
 
 _pool = _PoolState()
+_IDLE_NAME = "earshot-pool"  # a helper's name between calls
+_idle = []  # helpers waiting for a call
+_idle_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    """In a forked child: the parent's helpers did not come along."""
+    global _idle, _idle_lock
+    _idle, _idle_lock = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+class _Helper:
+    """A pool thread that outlives the calls it works for.
+
+    It sleeps until ``serve`` hands it a call's work, works under the call's
+    name, takes the idle name again, goes back on the idle list and only
+    then tells the call it has left, so the next call finds it idle.  A
+    task's BaseException ends the thread after it has left; a later call
+    starts a new helper in its place.
+    """
+
+    def __init__(self):
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.job = None  # (name, work, left)
+        threading.Thread(target=self._run, name=_IDLE_NAME, daemon=True).start()
+
+    def serve(self, name, work):
+        """Run ``work`` as ``name``; returns a lock that is released once the
+        helper has left the call."""
+        left = threading.Lock()
+        left.acquire()
+        self.job = (name, work, left)
+        self.wake.release()
+        return left
+
+    def _run(self):
+        me = threading.current_thread()
+        while True:
+            self.wake.acquire()
+            (name, work, left), self.job = self.job, None
+            me.name = name
+            try:
+                work()
+            except BaseException:
+                me.name = _IDLE_NAME
+                left.release()
+                raise
+            # An idle helper holds nothing of the call it served, whose
+            # tasks may reach a whole clip or corpus.
+            del work
+            me.name = _IDLE_NAME
+            with _idle_lock:
+                _idle.append(self)
+            left.release()
 
 
 def parallel_map(task, count: int, name: str) -> list:
     """[task(0), ..., task(count - 1)], computed on min(usable cores, count)
     threads.
 
-    The calling thread and one new thread per further core (named
-    ``name-1``, ``name-2``, ...) each take the next unclaimed index until
-    none is left.  WAV I/O, FFTs and array arithmetic release the interpreter
-    lock, so the threads share the cores.  A task whose result depends on its
-    index alone gives results that do not depend on the number of threads.
-    When tasks fail, no index is claimed after the failure, the threads are
-    joined, and the error of the lowest failing index is raised, as a serial
-    loop would raise it.
+    The calling thread and one helper per further core each take the next
+    unclaimed index until none is left.  Helpers persist: a call takes idle
+    ones and starts new ones only when too few are idle, never waiting for a
+    busy one.  While a helper works for the call it is named ``name-1``,
+    ``name-2``, ...; between calls it is named "earshot-pool".  WAV I/O,
+    FFTs and array arithmetic release the interpreter lock, so the threads
+    share the cores.  A task whose result depends on its index alone gives
+    results that do not depend on the number of threads.  When tasks fail,
+    no index is claimed after the failure, every helper leaves the call, and
+    the error of the lowest failing index is raised, as a serial loop would
+    raise it.
 
     A call made from inside a task runs as if one core were usable: its
     tasks run on the calling thread, through the same loop, since the outer
@@ -147,14 +209,15 @@ def parallel_map(task, count: int, name: str) -> list:
     results = [None] * count
     errors = {}
     lock = threading.Lock()
-    stop = threading.Event()
+    stop = False
     unclaimed = iter(range(count))
 
     def claim():
         with lock:
-            return None if stop.is_set() else next(unclaimed, None)
+            return None if stop else next(unclaimed, None)
 
     def work():
+        nonlocal stop
         outer, _pool.busy = _pool.busy, True
         try:
             while (index := claim()) is not None:
@@ -163,23 +226,23 @@ def parallel_map(task, count: int, name: str) -> list:
                 except Exception as exc:  # re-raised by the calling thread
                     with lock:
                         errors[index] = exc
-                        stop.set()
+                        stop = True
                     return
         finally:
             _pool.busy = outer
 
-    cores = 1 if _pool.busy else _usable_cores()
-    helpers = [
-        threading.Thread(target=work, name=f"{name}-{n}") for n in range(1, min(cores, count))
-    ]
-    for thread in helpers:
-        thread.start()
+    wanted = min(1 if _pool.busy else _usable_cores(), count) - 1
+    with _idle_lock:
+        helpers = [_idle.pop() for _ in range(min(wanted, len(_idle)))]
+    helpers += [_Helper() for _ in range(wanted - len(helpers))]
+    lefts = [helper.serve(f"{name}-{n}", work) for n, helper in enumerate(helpers, 1)]
     try:
         work()
     finally:
-        stop.set()  # an interrupted caller leaves the helpers nothing more to claim
-        for thread in helpers:
-            thread.join()
+        with lock:
+            stop = True  # an interrupted caller leaves the helpers nothing more to claim
+        for left in lefts:
+            left.acquire()
     if errors:
         raise errors[min(errors)]
     return results

@@ -563,6 +563,15 @@ GEOMETRY_EDITS = {
                   "finite and positive"),
     "zero-speed": (_edit_payload(lambda p: p.update(speed_of_sound=0)), "finite and positive"),
     "string-speed": (_edit_payload(lambda p: p.update(speed_of_sound="fast")), "could not convert"),
+    "bool-speed": (_edit_payload(lambda p: p.update(speed_of_sound=True)),
+                   "speed_of_sound: could not convert true to a number"),
+    "numeric-string-speed": (_edit_payload(lambda p: p.update(speed_of_sound="343")),
+                             'speed_of_sound: could not convert "343" to a number'),
+    "bool-position": (_set_position(True), "positions: could not convert true to a number"),
+    "numeric-string-position": (_set_position("0.1"),
+                                'positions: could not convert "0.1" to a number'),
+    "huge-int-speed": (_edit_payload(lambda p: p.update(speed_of_sound=10**400)),
+                       "too large to convert"),
 }
 
 

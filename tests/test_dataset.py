@@ -1,6 +1,7 @@
 """Manifest files, labeled-sample extraction times and fold assignment."""
 
 import dataclasses
+import multiprocessing
 import os
 import sys
 import threading
@@ -549,6 +550,139 @@ def test_parallel_map_inside_a_task_runs_on_the_task_thread(monkeypatch):
     names = parallel_map(lambda i: barrier.wait(timeout=60) or threading.current_thread().name,
                          4, "earshot-after")
     assert len(set(names)) == 4
+
+
+def _finishes(call, timeout=60):
+    """call() on a fresh thread: its result, or a test failure after timeout s."""
+    out = []
+    # daemon: a hung pool must not hold the test run open
+    thread = threading.Thread(target=lambda: out.append(call()), name="pool-test", daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "parallel_map did not return"
+    return out[0]
+
+
+def test_parallel_map_reuses_its_helpers(monkeypatch):
+    """Fifty top-level calls on four cores leave as many threads alive as
+    the first call did, and every call runs on the first call's threads:
+    each call takes the idle helpers of the last."""
+    monkeypatch.setattr(util, "_usable_cores", lambda: 4)
+    barrier = threading.Barrier(4)
+
+    def task(i):
+        barrier.wait(timeout=60)  # every thread takes two of the eight tasks
+        return threading.current_thread()
+
+    threads = set(parallel_map(task, 8, "earshot-reuse"))
+    alive = threading.active_count()
+    assert len(threads) == 4
+    for _ in range(49):
+        assert set(parallel_map(task, 8, "earshot-reuse")) == threads
+        assert threading.active_count() == alive
+    assert not [t for t in threading.enumerate() if t.name.startswith("earshot-reuse")]
+
+
+def test_parallel_map_callers_on_many_threads_share_the_helpers(monkeypatch):
+    """Four top-level callers, 100 calls each on three cores, switching every
+    microsecond: no helper is handed to two calls at once, so every call
+    returns its own results, and afterwards no helper carries a call's name."""
+    monkeypatch.setattr(util, "_usable_cores", lambda: 3)
+    failures = []
+
+    def caller(c):
+        for k in range(100):
+            got = parallel_map(lambda i: (c, k, i), 5, f"earshot-caller{c}")
+            if got != [(c, k, i) for i in range(5)]:
+                failures.append((c, k, got))
+
+    callers = [threading.Thread(target=caller, args=(c,), daemon=True) for c in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in callers:
+            thread.start()
+        deadline = time.monotonic() + 120
+        for thread in callers:
+            thread.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [thread for thread in callers if thread.is_alive()], "a caller did not return"
+    assert failures == []
+    assert not [t for t in threading.enumerate() if t.name.startswith("earshot-caller")]
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_parallel_map_replaces_a_helper_that_died(monkeypatch):
+    """A task that raises SystemExit ends the helper it ran on; that call
+    still returns, and so does the next, on a helper started in its place."""
+    monkeypatch.setattr(util, "_usable_cores", lambda: 2)
+    barrier = threading.Barrier(2)
+    dead = []
+
+    def task(i):
+        barrier.wait(timeout=60)  # one index per thread
+        if threading.current_thread().name == "earshot-exit-1":
+            dead.append(threading.current_thread())
+            raise SystemExit
+        return i
+
+    _finishes(lambda: parallel_map(task, 2, "earshot-exit"))
+    dead[0].join(timeout=60)
+    assert not dead[0].is_alive()
+
+    def name(i):
+        barrier.wait(timeout=60)
+        return threading.current_thread().name
+
+    assert sorted(_finishes(lambda: parallel_map(name, 2, "earshot-next"))) == [
+        "earshot-next-1", "pool-test"]
+
+
+def _pool_in_forked_child(conn):
+    conn.send(parallel_map(lambda i: i * i, 8, "earshot-fork"))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_parallel_map_in_a_forked_child(monkeypatch):
+    """A child forked after the pool has helpers does not wait for them:
+    its own call starts its own and returns the right results."""
+    monkeypatch.setattr(util, "_usable_cores", lambda: 4)
+    parallel_map(lambda i: i, 8, "earshot-parent")  # the parent now has idle helpers
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_pool_in_forked_child, args=(send,))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's parallel_map did not return"
+        assert receive.recv() == [i * i for i in range(8)]
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def test_parallel_map_from_a_thread_a_task_started(monkeypatch):
+    """Each task of a call starts a thread of its own that calls
+    parallel_map while every helper is busy: those calls start helpers of
+    their own rather than wait, and everything completes."""
+    monkeypatch.setattr(util, "_usable_cores", lambda: 2)
+    barrier = threading.Barrier(2)
+
+    def task(i):
+        barrier.wait(timeout=60)  # both threads of the outer call are busy
+        out = []
+        inner = threading.Thread(
+            target=lambda: out.append(parallel_map(lambda j: 10 * i + j, 4, "earshot-spawned")))
+        inner.start()
+        inner.join(60)
+        return out
+
+    got = _finishes(lambda: parallel_map(task, 2, "earshot-spawner"))
+    assert got == [[[10 * i + j for j in range(4)]] for i in range(2)]
 
 
 def test_folds_balanced_20_per_class():
