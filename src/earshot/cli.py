@@ -89,7 +89,9 @@ def resolve_run_config(args) -> dict:
 
     A --config value must have its option's JSON type (an integer is a
     number, true and false are neither) and is kept as given.  Every float
-    option must be finite, from a flag or a --config file alike.
+    option must be finite, from a flag or a --config file alike.  The
+    extraction options are checked by building their PipelineConfig, so
+    every bad value exits 2 before a command reads its inputs.
     """
     defaults = PipelineConfig()
     run = {key: getattr(defaults, o.field) if o.field else o.default
@@ -127,6 +129,7 @@ def resolve_run_config(args) -> dict:
         raise UsageError("stride must be positive")
     if not 0.0 <= run["alpha_th"] <= 90.0:
         raise UsageError("alpha-th must lie in [0, 90]")
+    _pipeline(run)
     return run
 
 
@@ -245,6 +248,10 @@ def cmd_eval(args, run: dict) -> int:
 
 
 def cmd_simulate(args, run: dict) -> int:
+    if args.per_class < 1:
+        raise UsageError("--per-class must be at least 1")
+    if args.mics < 2:
+        raise UsageError("--mics must be at least 2")
     manifest_path = make_benchmark(
         args.out,
         per_class=args.per_class,
@@ -266,6 +273,8 @@ def cmd_micstudy(args, run: dict) -> int:
         raise UsageError(f"--sizes must be comma-separated integers: {exc}") from exc
     if not sizes:
         raise UsageError("--sizes must name at least one subset size")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     rows = mic_subset_study(
         load_manifest(args.manifest), cfg, sizes, trials=args.trials, seed=run["seed"],
         k=run["folds"], lam=run["lambda"], augment=run["augment"],

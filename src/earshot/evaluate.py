@@ -318,6 +318,8 @@ def mic_subset_study(manifest, config: PipelineConfig, subset_sizes, trials: int
     row per m with the best, mean and standard deviation of the trial
     accuracies.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     entries = list(manifest)
     if not entries:
         raise ValueError("no recordings given")

@@ -8,9 +8,11 @@ specular reflection point falls on the wall segment with both legs clear.
 Touching a wall endpoint counts as blocked, so geometry is conservative.
 
 Rendering walks the source along its path.  Which paths exist is decided
-per 64-sample block, for the direct path and every wall image and for all
-microphones at once; only the stretches where a path is valid are mixed into
-a channel, each sample with its fractional delay (distance / c) and
+per 64-sample stretch, for the direct path and every wall image and for all
+microphones at once.  The scene is then mixed in blocks: a block skips the
+paths no microphone hears in it, mirrors its source positions once per heard
+image, and mixes into each channel only the stretches where the path is
+valid, each sample with its fractional delay (distance / c) and
 1/max(d, 0.5 m) amplitude.  White background noise is added last, and the
 first line-of-sight time t0 (to the array center) goes into the ground truth.
 
@@ -370,34 +372,22 @@ def _mix_source(scenario: Scenario, mics: np.ndarray, speed_of_sound: float, n: 
     lead = int(np.ceil(max_dist / speed_of_sound * fs)) + 8
     sig = _source_signal(scenario.signal, lead + n + 2, fs, derive_seed(scenario.seed, "source"))
     valid = _path_validity(walls, coarse, mics)  # (m, 1 + W, blocks)
-    runs = [[_sample_runs(valid[mi, p], n) for mi in range(len(mics))]
-            for p in range(valid.shape[1])]
 
-    # Every step below works sample by sample (the mirror's matmul row by row,
-    # given two rows or more), so mixing block by block gives the bits of one
-    # pass over the whole scene.
+    # Each block mirrors its source positions once for every image that some
+    # microphone hears in it, then mixes each microphone's runs.  Every step
+    # works sample by sample (the mirror's matmul row by row, as no block is
+    # one row), so mixing block by block gives the bits of one pass over the
+    # whole scene.
     mixed = np.zeros((len(mics), n))
     scale = fs / speed_of_sound
     for a, b in _blocks(n):
+        heard = valid[:, :, a // _MASK_STRIDE : -(-b // _MASK_STRIDE)]
         src = path.position(np.arange(a, b) / fs)
-        for p, path_runs in enumerate(runs):
-            cut = [np.clip(r, a, b) for r in path_runs]
-            cut = [r[r[:, 0] < r[:, 1]] for r in cut]
-            heard = [r for r in cut if len(r)]
-            if not heard:
-                continue
-            if p == 0:
-                pts, lo = src, a
-            else:
-                # Mirror only the span that some microphone hears.  A one-row
-                # matmul takes NumPy's dot path and may round differently, so
-                # the span keeps at least two rows.
-                hi = max(int(r[-1, 1]) for r in heard)
-                lo = min(min(int(r[0, 0]) for r in heard), max(hi - 2, a))
-                pts = _mirror_points(src[lo - a : hi - a], walls[p - 1, 0], walls[p - 1, 1])
+        for p in np.flatnonzero(heard.any(axis=(0, 2))):
+            pts = src if p == 0 else _mirror_points(src, walls[p - 1, 0], walls[p - 1, 1])
             for mi, mic in enumerate(mics):
-                for s, e in cut[mi]:
-                    seg = pts[s - lo : e - lo]
+                for s, e in _sample_runs(heard[mi, p], b - a) + a:
+                    seg = pts[s - a : e - a]
                     dist = np.hypot(seg[:, 0] - mic[0], seg[:, 1] - mic[1])
                     _kernels_np.lerp_mix(
                         mixed[mi, s:e], sig, dist * scale, 1.0 / np.maximum(dist, 0.5), lead + s
@@ -541,8 +531,8 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
     """
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
-    os.makedirs(out_dir, exist_ok=True)
     geometry = random_planar_array(n_mics, seed=derive_seed(seed, "array"))
+    os.makedirs(out_dir, exist_ok=True)
     geom_path = os.path.join(out_dir, "geometry.json")
     save_geometry(geometry, geom_path)
 

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import queue
 import secrets
 import threading
 
@@ -126,7 +127,7 @@ class _PoolState(threading.local):
 
 _pool = _PoolState()
 _IDLE_NAME = "earshot-pool"  # a helper's name between calls
-_idle = []  # helpers waiting for a call
+_idle = []  # inboxes of the helpers waiting for a call
 _idle_lock = threading.Lock()
 
 
@@ -140,50 +141,32 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-class _Helper:
+def _helper(inbox) -> None:
     """A pool thread that outlives the calls it works for.
 
-    It sleeps until ``serve`` hands it a call's work, works under the call's
-    name, takes the idle name again, goes back on the idle list and only
-    then tells the call it has left, so the next call finds it idle.  A
+    It waits for ``(name, work, left)`` in its inbox, runs ``work`` under the
+    call's name, takes the idle name again, puts its inbox back on the idle
+    list and only then releases ``left``, so the next call finds it idle.  A
     task's BaseException ends the thread after it has left; a later call
     starts a new helper in its place.
     """
-
-    def __init__(self):
-        self.wake = threading.Lock()
-        self.wake.acquire()
-        self.job = None  # (name, work, left)
-        threading.Thread(target=self._run, name=_IDLE_NAME, daemon=True).start()
-
-    def serve(self, name, work):
-        """Run ``work`` as ``name``; returns a lock that is released once the
-        helper has left the call."""
-        left = threading.Lock()
-        left.acquire()
-        self.job = (name, work, left)
-        self.wake.release()
-        return left
-
-    def _run(self):
-        me = threading.current_thread()
-        while True:
-            self.wake.acquire()
-            (name, work, left), self.job = self.job, None
-            me.name = name
-            try:
-                work()
-            except BaseException:
-                me.name = _IDLE_NAME
-                left.release()
-                raise
-            # An idle helper holds nothing of the call it served, whose
-            # tasks may reach a whole clip or corpus.
-            del work
+    me = threading.current_thread()
+    while True:
+        name, work, left = inbox.get()
+        me.name = name
+        try:
+            work()
+        except BaseException:
             me.name = _IDLE_NAME
-            with _idle_lock:
-                _idle.append(self)
             left.release()
+            raise
+        # An idle helper holds nothing of the call it served, whose tasks
+        # may reach a whole clip or corpus.
+        del work
+        me.name = _IDLE_NAME
+        with _idle_lock:
+            _idle.append(inbox)
+        left.release()
 
 
 def parallel_map(task, count: int, name: str) -> list:
@@ -193,7 +176,7 @@ def parallel_map(task, count: int, name: str) -> list:
     The calling thread and one helper per further core each take the next
     unclaimed index until none is left.  Helpers persist: a call takes idle
     ones and starts new ones only when too few are idle, never waiting for a
-    busy one.  While a helper works for the call it is named ``name-1``,
+    busy one, and puts the work in each helper's own queue.  While a helper works for the call it is named ``name-1``,
     ``name-2``, ...; between calls it is named "earshot-pool".  WAV I/O,
     FFTs and array arithmetic release the interpreter lock, so the threads
     share the cores.  A task whose result depends on its index alone gives
@@ -233,9 +216,15 @@ def parallel_map(task, count: int, name: str) -> list:
 
     wanted = min(1 if _pool.busy else _usable_cores(), count) - 1
     with _idle_lock:
-        helpers = [_idle.pop() for _ in range(min(wanted, len(_idle)))]
-    helpers += [_Helper() for _ in range(wanted - len(helpers))]
-    lefts = [helper.serve(f"{name}-{n}", work) for n, helper in enumerate(helpers, 1)]
+        inboxes = [_idle.pop() for _ in range(min(wanted, len(_idle)))]
+    while len(inboxes) < wanted:
+        inboxes.append(queue.SimpleQueue())
+        threading.Thread(target=_helper, args=(inboxes[-1],), name=_IDLE_NAME,
+                         daemon=True).start()
+    lefts = [threading.Lock() for _ in inboxes]
+    for n, (inbox, left) in enumerate(zip(inboxes, lefts), 1):
+        left.acquire()  # released by the helper once it has left the call
+        inbox.put((f"{name}-{n}", work, left))
     try:
         work()
     finally:

@@ -124,6 +124,13 @@ def test_exit_codes_for_bad_configuration(tmp_path, capsys):
     assert main(["eval", "f.csv", "--out", "r.json", "--alpha-th", "91"]) == 2
     assert main(["predict", "a.wav", "g.json", "--model", "m.json",
                  "--stride", "-1"]) == 2
+    # ... and the extraction flags are checked with the others
+    assert main(["train", str(tmp_path / "missing.csv"), "--out", "m.json",
+                 "--segments", "0"]) == 2
+    assert main(["eval", str(tmp_path / "missing.csv"), "--out", "r.json", "--frame", "3"]) == 2
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--per-class", "1",
+                 "--segments", "0"]) == 2
+    assert not (tmp_path / "sim").exists()
     capsys.readouterr()
 
     # NaN and infinity name their option, from a flag or a --config file
@@ -165,6 +172,34 @@ def test_exit_code_for_config_mismatch(tmp_path, arts, capsys):
     out = tmp_path / "m.json"
     assert main(["train", str(arts["features"]), "--out", str(out), "--bins", "15"]) == 4
     assert "different extraction config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["micstudy", "{manifest}", "--trials", "0", "--out", "{out}"], "--trials must be at least 1"),
+    (["micstudy", "{manifest}", "--trials", "-2", "--out", "{out}"],
+     "--trials must be at least 1"),
+    (["simulate", "--out", "{out}", "--per-class", "0"], "--per-class must be at least 1"),
+    (["simulate", "--out", "{out}", "--mics", "1"], "--mics must be at least 2"),
+], ids=["trials-0", "trials-negative", "per-class-0", "mics-1"])
+def test_out_of_range_counts_exit_2_before_any_file_is_made(tmp_path, bench_dir, capsys,
+                                                            argv, message):
+    out = tmp_path / "out"
+    assert main([a.format(manifest=bench_dir, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == f"earshot: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_augment_flag_gives_the_bytes_of_its_config_value(tmp_path, arts, capsys, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"augment": value == "true"}))
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert main(["train", str(arts["features"]), "--out", str(by_flag), "--augment", value]) == 0
+    assert main(["train", str(arts["features"]), "--out", str(by_config),
+                 "--config", str(config)]) == 0
+    assert by_flag.read_bytes() == by_config.read_bytes()
+    assert json.loads(json.loads(by_flag.read_text())["run_config"])["augment"] is (value == "true")
+    capsys.readouterr()
 
 
 def test_argparse_rejects_malformed_boolean(capsys):

@@ -547,8 +547,11 @@ def test_parallel_map_inside_a_task_runs_on_the_task_thread(monkeypatch):
         assert results == [(name, 10 * i + j) for j in range(6)]
     assert started == []
 
-    names = parallel_map(lambda i: barrier.wait(timeout=60) or threading.current_thread().name,
-                         4, "earshot-after")
+    def after(i):
+        barrier.wait(timeout=60)
+        return threading.current_thread().name
+
+    names = parallel_map(after, 4, "earshot-after")
     assert len(set(names)) == 4
 
 

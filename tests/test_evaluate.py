@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from earshot import util
+from earshot import evaluate, util
 from earshot.audio import AudioClip, load_geometry, load_wav
 from earshot.classifier import train
 from earshot.dataset import extraction_times, load_manifest, stratified_folds
@@ -390,6 +390,16 @@ def test_mic_subset_full_array_matches_plain_cv(
         mic_subset_study(bench_manifest, default_config, [9], k=3)
     with pytest.raises(ValueError):
         mic_subset_study([], default_config, [4], k=3)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_mic_subset_study_refuses_no_trials_before_extracting(bench_manifest, default_config,
+                                                              monkeypatch, trials):
+    calls = []
+    monkeypatch.setattr(evaluate, "extract_manifest", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        mic_subset_study(bench_manifest, default_config, [4, 8], trials=trials, k=3)
+    assert calls == []
 
 
 def test_mic_subset_smaller_arrays_and_csv(bench_manifest, default_config):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from earshot import synth, util
 from earshot._kernels_np import lerp_mix
-from earshot.audio import AudioClip, UnsupportedEncodingError, load_wav
+from earshot.audio import AudioClip, UnsupportedEncodingError, load_wav, write_wav
 from earshot.beamform import argmax_doa, srp_phat
 from earshot.dataset import load_manifest
 from earshot.features import PipelineConfig, extract_feature
@@ -260,6 +260,9 @@ def test_make_benchmark_cleanup_on_failure(tmp_path, monkeypatch):
     assert leftovers == []
     with pytest.raises(ValueError):
         make_benchmark(tmp_path / "x", per_class=0)
+    with pytest.raises(ValueError, match="at least 2 microphones"):
+        make_benchmark(tmp_path / "one-mic", per_class=1, n_mics=1)
+    assert not (tmp_path / "one-mic").exists()
 
     # The disk fills up partway through the first WAV: neither the WAV nor
     # its temp file may stay behind.
@@ -359,6 +362,18 @@ def test_render_peak_stays_near_its_result():
         tracemalloc.stop()
     assert rec.clip.duration == 7.5
     assert peak <= 1.4 * rec.clip.samples.nbytes
+
+
+def test_render_scales_a_clip_that_peaks_above_095_down_to_095(tmp_path):
+    """A source passing 0.2 m from the array peaks above 0.95 before the
+    normalisation; the clip comes back at exactly 0.95 and writes as pcm24."""
+    scenario = Scenario(label="left", duration=2.0, seed=3,
+                        path=SourcePath([0.0, 2.0], [[-5.0, 0.2], [5.0, 0.2]]))
+    rec = render(scenario, random_planar_array(4, seed=1))
+    samples = rec.clip.samples
+    assert float(max(samples.max(), -samples.min())) == 0.95
+    write_wav(rec.clip, tmp_path / "loud.wav", encoding="pcm24")
+    assert np.abs(load_wav(tmp_path / "loud.wav").samples - samples).max() < 2.0**-23
 
 
 # ---------------------------------------------------------------------------
