@@ -259,6 +259,11 @@ def _read_layout(fh, path) -> _Layout:
         raise UnsupportedEncodingError(
             f"{path}: format tag {audio_format} at {bits} bits is not supported"
         )
+    if block_align != n_channels * width:
+        raise WavFormatError(
+            f"{path}: block_align {block_align} is not {n_channels} channels "
+            f"x {width} bytes per sample"
+        )
 
     n_frames = data[1] // (width * n_channels)
     if n_frames == 0:
@@ -288,7 +293,8 @@ def load_wav(path, start: int = 0, stop: int | None = None) -> AudioClip:
     The frames are decoded into a C-ordered (channels, frames) float64
     array, and a range holds the same values as the same columns of
     the whole file.  Raises WavFormatError for malformed containers,
-    including a data chunk that runs past the end of the file, for any range;
+    including a data chunk that runs past the end of the file, for any range,
+    and a block_align other than channels x bytes per sample;
     UnsupportedEncodingError for encodings outside the supported set;
     EmptyStreamError when the data chunk holds no whole frame; and ValueError
     for a range that is empty or reaches outside [0, n_frames).  Unreadable

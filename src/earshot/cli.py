@@ -14,6 +14,7 @@ artifacts, windows outside a recording and the like).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -200,6 +201,10 @@ def cmd_predict(args, run: dict) -> int:
     cfg = _pipeline(run)
     model = load_model(args.model)
     _require_config_match(model.config, run, args.model)
+    sample_rate, _ = wav_frames(args.wav)
+    if run["stride"] * sample_rate < 1:
+        raise UsageError(f"stride {run['stride']} s is shorter than one sample "
+                         f"at {sample_rate} Hz")
     clip = load_wav(args.wav)
     geometry = load_geometry(args.geometry)
     check_mic_count(clip, geometry, args.wav, args.geometry)
@@ -214,9 +219,12 @@ def cmd_predict(args, run: dict) -> int:
             motion="static",
             t0=args.t0,
         )
-    scores = sliding_window_eval(
-        entry, model, cfg, hop_seconds=run["stride"], clip=clip, geometry=geometry
-    )
+    try:
+        scores = sliding_window_eval(
+            entry, model, cfg, hop_seconds=run["stride"], clip=clip, geometry=geometry
+        )
+    except ValueError as exc:
+        raise ValueError(f"{args.wav}: {exc}") from None
     _emit(window_scores_to_csv(scores, preamble=_provenance(run)), args.out)
     if entry is not None:
         hits = sum(1 for s in scores if s.correct)
@@ -285,14 +293,30 @@ def cmd_micstudy(args, run: dict) -> int:
     return 0
 
 
-def _add_shared_flags(sub) -> None:
-    sub.add_argument("--config", help="JSON file of configuration overrides")
-    for key, o in _OPTIONS.items():
-        sub.add_argument("--" + key.replace("_", "-"), help=o.help,
-                         type=_parse_bool if o.kind is bool else o.kind, **o.extras)
+_COMMANDS = {
+    "doa": cmd_doa,
+    "extract": cmd_extract,
+    "train": cmd_train,
+    "predict": cmd_predict,
+    "eval": cmd_eval,
+    "simulate": cmd_simulate,
+    "micstudy": cmd_micstudy,
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, then reused.
+
+    --config and the run options are declared once, on a parent parser that
+    every subcommand takes through ``parents=``.
+    """
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="JSON file of configuration overrides")
+    for key, o in _OPTIONS.items():
+        shared.add_argument("--" + key.replace("_", "-"), help=o.help,
+                            type=_parse_bool if o.kind is bool else o.kind, **o.extras)
+
     parser = argparse.ArgumentParser(
         prog="earshot",
         description="Hear approaching vehicles around blind corners from a mic array.",
@@ -301,26 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("doa", help="dump the azimuth energy map of a recording")
+    def command(name, help):
+        return commands.add_parser(name, help=help, parents=[shared])
+
+    p = command("doa", "dump the azimuth energy map of a recording")
     p.add_argument("wav", help="multichannel WAV file")
     p.add_argument("geometry", help="array geometry JSON")
     p.add_argument("--out", help="output CSV (default stdout)")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_doa)
 
-    p = commands.add_parser("extract", help="turn a manifest of recordings into a feature cache")
+    p = command("extract", "turn a manifest of recordings into a feature cache")
     p.add_argument("manifest", help="recording manifest CSV")
     p.add_argument("--out", required=True, help="feature cache CSV to write")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_extract)
 
-    p = commands.add_parser("train", help="fit the classifier on a feature cache")
+    p = command("train", "fit the classifier on a feature cache")
     p.add_argument("features", help="feature cache CSV")
     p.add_argument("--out", required=True, help="model JSON to write")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = commands.add_parser("predict", help="classify sliding windows of one recording")
+    p = command("predict", "classify sliding windows of one recording")
     p.add_argument("wav", help="multichannel WAV file")
     p.add_argument("geometry", help="array geometry JSON")
     p.add_argument("--model", required=True, help="model JSON from train")
@@ -328,32 +349,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground truth, to score the windows")
     p.add_argument("--t0", type=float, help="annotated line-of-sight time for the truth")
     p.add_argument("--out", help="output CSV (default stdout)")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = commands.add_parser("eval", help="cross-validate a feature cache, or score the DoA rule")
+    p = command("eval", "cross-validate a feature cache, or score the DoA rule")
     p.add_argument("features", help="feature cache CSV")
     p.add_argument("--out", required=True, help="metrics report JSON to write")
     p.add_argument("--csv", help="also write a flat metrics CSV here")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = commands.add_parser("simulate", help="render a labeled synthetic benchmark")
+    p = command("simulate", "render a labeled synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--per-class", type=int, default=10, help="recordings per class")
     p.add_argument("--env", choices=("A", "B"), default="A", help="junction type")
     p.add_argument("--mics", type=int, default=8, help="microphones in the array")
     p.add_argument("--encoding", choices=("pcm24", "float32"), default="pcm24")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = commands.add_parser("micstudy", help="accuracy as a function of microphone count")
+    p = command("micstudy", "accuracy as a function of microphone count")
     p.add_argument("manifest", help="recording manifest CSV")
     p.add_argument("--sizes", default="2,4,6,8", help="comma-separated subset sizes")
     p.add_argument("--trials", type=int, default=5, help="random subsets per size")
     p.add_argument("--out", help="output CSV (default stdout)")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_micstudy)
 
     return parser
 
@@ -362,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = resolve_run_config(args)
-        return args.func(args, run)
+        return _COMMANDS[args.command](args, run)
     except UsageError as exc:
         print(f"earshot: error: {exc}", file=sys.stderr)
         return 2

@@ -145,7 +145,8 @@ def extract_samples(entry: ManifestEntry, config: PipelineConfig, channels=None)
     ``channels`` keeps only those microphones, in the given order, of both
     the recording and its geometry; None keeps them all.  A recording whose
     channel count is not the geometry's microphone count, or a channel the
-    recording lacks, is a ValueError that names the files.
+    recording lacks, is a ValueError that names the files; so is a window
+    whose feature cannot be computed, which is named by its t_e.
     """
     sample_rate, n_frames = wav_frames(entry.wav)
     windows = _windows(entry, sample_rate, n_frames, config)
@@ -161,8 +162,12 @@ def extract_samples(entry: ManifestEntry, config: PipelineConfig, channels=None)
     samples = []
     for label, t_e, start, stop in windows:
         window = AudioClip(clip.samples[:, start - first : stop - first], sample_rate)
+        try:
+            feature = extract_feature(window, geometry, config)
+        except ValueError as exc:
+            raise ValueError(f"{entry.wav}: window ending at t_e {t_e:.3f} s: {exc}") from None
         meta = SampleMeta(entry.recording_id, entry.environment, entry.motion, t_e)
-        samples.append(LabeledSample(extract_feature(window, geometry, config), label, meta))
+        samples.append(LabeledSample(feature, label, meta))
     return samples
 
 

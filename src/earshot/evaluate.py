@@ -276,14 +276,22 @@ def sliding_window_eval(entry: ManifestEntry | None, model, config: PipelineConf
     Returns one WindowScore per evaluation time t_e = sample_len,
     sample_len + hop, ... up to the clip duration.  ``entry`` supplies the
     ground truth; with entry None windows are classified but not scored, so
-    every score has no accepted labels and is not correct.
+    every score has no accepted labels and is not correct.  A hop shorter
+    than one sample is a ValueError, and so is a window whose feature cannot
+    be computed; that error names the window's t_e.
     """
+    if not hop_seconds * clip.sample_rate >= 1:
+        raise ValueError(f"hop {hop_seconds} s is shorter than one sample "
+                         f"at {clip.sample_rate} Hz")
     scores = []
     length = int(round(config.sample_len * clip.sample_rate))
     for t_e in window_times(clip.duration, config.sample_len, hop_seconds):
         end = min(int(round(t_e * clip.sample_rate)), clip.n_samples)
         window = AudioClip(clip.samples[:, end - length : end], clip.sample_rate)
-        feature = extract_feature(window, geometry, config)
+        try:
+            feature = extract_feature(window, geometry, config)
+        except ValueError as exc:
+            raise ValueError(f"window ending at t_e {t_e:.3f} s: {exc}") from None
         pred = predict(model, feature)
         accepted = () if entry is None else accepted_labels(entry.situation, entry.t0, t_e)
         scores.append(

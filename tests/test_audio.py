@@ -40,14 +40,17 @@ def sub_format(code, tail="-0000-0010-8000-00aa00389b71"):
     return uuid.UUID(f"{code:08x}{tail}").bytes_le
 
 
-def build_wav(fmt_tag, channels, rate, bits, payload, junk_before=False, guid=None):
+def build_wav(fmt_tag, channels, rate, bits, payload, junk_before=False, guid=None,
+              block_align=None):
     """Assemble raw RIFF bytes for the reader tests.
 
     With a guid the fmt chunk is the 40-byte WAVE_FORMAT_EXTENSIBLE form and
-    fmt_tag should be 0xFFFE.
+    fmt_tag should be 0xFFFE.  block_align defaults to the packed frame size.
     """
+    if block_align is None:
+        block_align = channels * bits // 8
     fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate,
-                      rate * channels * bits // 8, channels * bits // 8, bits)
+                      rate * block_align, block_align, bits)
     if guid is not None:
         fmt += struct.pack("<HHI", 22, bits, (1 << channels) - 1) + guid
     body = b""
@@ -284,6 +287,34 @@ def test_extensible_rejects_unknown_sub_formats(tmp_path):
     path.write_bytes(build_wav(EXTENSIBLE, 2, 8000, 24, payload))
     with pytest.raises(WavFormatError):
         load_wav(path)
+
+
+@pytest.mark.parametrize("extensible", [False, True], ids=["plain", "extensible"])
+@pytest.mark.parametrize("encoding,channels,block_align", [
+    ("pcm24", 2, 8),  # 24-bit samples in 4-byte slots
+    ("pcm24", 2, 4),
+    ("pcm24", 1, 4),
+    ("pcm16", 2, 2),
+    ("float32", 2, 6),
+    ("float32", 1, 0),
+])
+def test_block_align_must_be_the_packed_frame_size(tmp_path, encoding, channels, block_align,
+                                                   extensible):
+    """A header whose block_align is not channels x bytes per sample is
+    refused by load_wav and wav_frames alike, however long the payload."""
+    fmt_tag, bits = ENCODINGS[encoding]
+    payload = bytes(range(48)) * 8
+    guid = sub_format(fmt_tag) if extensible else None
+    tag = EXTENSIBLE if extensible else fmt_tag
+    path = tmp_path / "x.wav"
+    path.write_bytes(build_wav(tag, channels, 8000, bits, payload, guid=guid,
+                               block_align=block_align))
+    for read in (load_wav, wav_frames):
+        with pytest.raises(WavFormatError, match=f"block_align {block_align} is not"):
+            read(path)
+    # the packed twin loads
+    path.write_bytes(build_wav(tag, channels, 8000, bits, payload, guid=guid))
+    assert load_wav(path).samples.shape == (channels, len(payload) // (channels * bits // 8))
 
 
 def test_doa_reads_extensible_pcm24(tmp_path, capsys):

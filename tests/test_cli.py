@@ -1,5 +1,6 @@
 """End-to-end runs of the command line against a small synthetic corpus."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,17 +14,19 @@ import pytest
 
 import earshot
 from earshot import __version__
-from earshot.audio import AudioClip, load_geometry, load_wav, write_wav, save_geometry
+from earshot.audio import AudioClip, load_geometry, load_wav, save_geometry, wav_frames, write_wav
 from earshot.beamform import srp_phat
+from earshot import cli
 from earshot.cli import build_parser, main, resolve_run_config
 from earshot.dataset import RecordingManifest, load_manifest, save_manifest
+from earshot.evaluate import window_times
 from earshot.features import PipelineConfig
 from earshot.stft import band_select, stft
 from earshot.synth import random_planar_array
 from earshot.util import config_hash, read_csv
 
 from synthref import render_plane_wave
-from test_audio import GEOMETRY_EDITS, write_edited_geometry
+from test_audio import GEOMETRY_EDITS, build_wav, write_edited_geometry
 from test_classifier import MODEL_EDITS, write_edited_model
 from test_dataset import MANIFEST_EDITS, write_edited_manifest
 from test_features import CACHE_EDITS, write_edited_cache
@@ -157,6 +160,11 @@ def test_exit_codes_for_io_problems(tmp_path, capsys):
     assert main(["train", "f.csv", "--out", "m.json",
                  "--config", str(tmp_path / "missing.json")]) == 3
     capsys.readouterr()
+    # 24-bit stereo declared in 4-byte slots: not the packed layout it would be read as
+    slots = tmp_path / "slots.wav"
+    slots.write_bytes(build_wav(1, 2, 48000, 24, bytes(6 * 4800), block_align=8))
+    assert main(["doa", str(slots), str(tmp_path / "g.json")]) == 3
+    assert "block_align 8 is not 2 channels x 3 bytes per sample" in capsys.readouterr().err
 
 
 def test_exit_code_for_malformed_model(tmp_path, arts, front_wav, capsys):
@@ -587,3 +595,112 @@ def test_every_cli_csv_reads_back_with_its_provenance(tmp_path, arts, bench_dir,
         assert preamble["run_config_hash"][1] == config_hash(run_config), path
         assert rows[0][1] == header, path
         assert len(rows) > 1 and all(len(fields) == len(header) for _, fields in rows), path
+
+
+@pytest.mark.parametrize("stride", ["1e-9", "2e-05"])
+def test_predict_refuses_a_stride_below_one_sample_before_reading(arts, front_wav, monkeypatch,
+                                                                  capsys, stride):
+    """A stride under one sample (1/48000 s here) exits 2 with one line naming
+    the stride and the rate, before the recording's samples are read."""
+    wav, gj = front_wav
+    reads = []
+    monkeypatch.setattr(cli, "load_wav", lambda *a, **k: reads.append(a))
+    assert main(["predict", str(wav), str(gj), "--model", str(arts["model"]),
+                 "--stride", stride]) == 2
+    assert capsys.readouterr().err == (f"earshot: error: stride {float(stride)} s is shorter "
+                                       "than one sample at 48000 Hz\n")
+    assert reads == []
+
+
+def test_a_non_finite_sample_names_its_recording_and_window(tmp_path, arts, capsys):
+    """One NaN in one recording of a float32 corpus: extract, micstudy and
+    predict exit 4 with one line naming that WAV and the failing window's t_e."""
+    assert main(["simulate", "--out", str(tmp_path), "--per-class", "2", "--mics", "4",
+                 "--encoding", "float32", "--seed", "3"]) == 0
+    manifest = tmp_path / "manifest.csv"
+    entries = list(load_manifest(manifest))
+    bad = next(e for e in entries if e.situation == "right")
+    rate, n_frames = wav_frames(bad.wav)
+    frame = round(bad.t0 * rate) - rate // 2  # mid-way through the window that ends at t0
+    data = bytearray(Path(bad.wav).read_bytes())
+    assert data[36:40] == b"data"  # a plain 44-byte header
+    at = 44 + (frame * 4 + 1) * 4  # channel 1
+    data[at:at + 4] = np.float32(np.nan).tobytes()
+    Path(bad.wav).write_bytes(bytes(data))
+    capsys.readouterr()
+
+    message = f"{bad.wav}: window ending at t_e {bad.t0:.3f} s: feature energies must be finite"
+    assert_exit_4(["extract", str(manifest), "--out", str(tmp_path / "f.csv")], capsys, message)
+    assert_exit_4(["micstudy", str(manifest), "--sizes", "4", "--trials", "1", "--folds", "2"],
+                  capsys, message)
+    assert not (tmp_path / "f.csv").exists()
+
+    # the first window whose STFT frames reach the sample: 45 frames of 2048
+    # at a hop of 1024 cover the first 47,104 of a window's 48,000 samples
+    t_e = next(t for t in window_times(n_frames / rate, 1.0, 0.1)
+               if round(t * rate) - rate + 47104 > frame)
+    assert_exit_4(["predict", bad.wav, bad.geometry, "--model", str(arts["model"])], capsys,
+                  f"{bad.wav}: window ending at t_e {t_e:.3f} s: feature energies must be finite")
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    """The parser is built once per process: the second call constructs none."""
+    argv = ["train", "f.csv", "--out", "m.json", "--lambda", "0"]
+    assert main(argv) == 2
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 2
+    assert built == []
+    # the spy does see a build: the shared flags, the program and seven commands
+    assert build_parser.__wrapped__() is not build_parser()
+    assert len(built) == 9
+    capsys.readouterr()
+
+
+COMMAND_LINES = {
+    "doa": ["doa", "a.wav", "g.json"],
+    "extract": ["extract", "m.csv", "--out", "f.csv"],
+    "train": ["train", "f.csv", "--out", "m.json"],
+    "predict": ["predict", "a.wav", "g.json", "--model", "m.json"],
+    "eval": ["eval", "f.csv", "--out", "r.json"],
+    "simulate": ["simulate", "--out", "sim"],
+    "micstudy": ["micstudy", "m.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_LINES))
+def test_main_runs_the_command_named_on_the_command_line(monkeypatch, name):
+    ran = []
+    for command in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            lambda args, run, command=command: ran.append(command) or 0)
+    assert main(COMMAND_LINES[name] + ["--seed", "7"]) == 0
+    assert ran == [name]
+
+
+SHARED_OPTIONS = {"-h", "--help", "--config", "--seed", "--lambda", "--window", "--segments",
+                  "--bins", "--fmin", "--fmax", "--frame", "--hop", "--augment", "--folds",
+                  "--baseline", "--alpha-th", "--stride"}
+COMMAND_OPTIONS = {
+    "doa": {"--out"},
+    "extract": {"--out"},
+    "train": {"--out"},
+    "predict": {"--model", "--situation", "--t0", "--out"},
+    "eval": {"--out", "--csv"},
+    "simulate": {"--out", "--per-class", "--env", "--mics", "--encoding"},
+    "micstudy": {"--sizes", "--trials", "--out"},
+}
+
+
+def test_each_command_accepts_its_fixed_option_strings():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMAND_OPTIONS)
+    for name, parser in commands.choices.items():
+        assert set(parser._option_string_actions) == SHARED_OPTIONS | COMMAND_OPTIONS[name], name

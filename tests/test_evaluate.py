@@ -325,6 +325,29 @@ def test_sliding_window_scores(bench_manifest, bench_model, default_config):
         assert s.correct == (s.label_pred in s.accepted)
 
 
+def test_sliding_window_hop_must_reach_one_sample(bench_manifest, bench_model, default_config):
+    """A hop of one sample is the finest; anything shorter is a ValueError
+    raised before any window is listed."""
+    entry = bench_manifest.entries[0]
+    clip = load_wav(entry.wav, 0, 48003)  # one window and three samples at 48 kHz
+    geometry = load_geometry(entry.geometry)
+    scores = sliding_window_eval(None, bench_model, default_config, 1 / 48000, clip, geometry)
+    assert len(scores) == 4
+    for hop in (1e-9, 2e-5, 0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="shorter than one sample at 48000 Hz"):
+            sliding_window_eval(None, bench_model, default_config, hop, clip, geometry)
+
+
+def test_sliding_window_error_names_the_window(bench_manifest, bench_model, default_config):
+    entry = bench_manifest.entries[0]
+    clip = load_wav(entry.wav, 0, 72000)
+    clip.samples[3, 60000] = np.nan  # analysed by the windows ending at 1.3 and 1.4 s
+    with pytest.raises(ValueError, match=r"^window ending at t_e 1\.300 s: feature energies "
+                                         "must be finite"):
+        sliding_window_eval(None, bench_model, default_config, 0.1, clip,
+                            load_geometry(entry.geometry))
+
+
 def test_side_probability_rises_into_line_of_sight(
     bench_manifest, bench_model, default_config
 ):
