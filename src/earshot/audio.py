@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import atomic_open, write_text
+from .util import atomic_open, json_numbers, write_text
 
 
 class WavError(Exception):
@@ -144,16 +144,6 @@ def save_geometry(geometry: ArrayGeometry, path) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _json_numbers(value, key):
-    """``value`` with every leaf checked to be a JSON number, never a bool."""
-    if isinstance(value, list):
-        for item in value:
-            _json_numbers(item, key)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key}: could not convert {json.dumps(value)} to a number")
-    return value
-
-
 def load_geometry(path) -> ArrayGeometry:
     """Read a ``save_geometry`` file.  Text that is not JSON, a missing key,
     a value that is not a JSON number (a bool or a numeric string included),
@@ -161,10 +151,10 @@ def load_geometry(path) -> ArrayGeometry:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        positions = np.asarray(_json_numbers(payload["positions"], "positions"),
+        positions = np.asarray(json_numbers(payload["positions"], "positions"),
                                dtype=np.float64)
         return ArrayGeometry(positions,
-                             float(_json_numbers(payload["speed_of_sound"], "speed_of_sound")))
+                             float(json_numbers(payload["speed_of_sound"], "speed_of_sound")))
     except KeyError as exc:
         raise ValueError(f"{path}: geometry file lacks the key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # undecodable or non-JSON text included

@@ -36,7 +36,7 @@ import numpy as np
 
 from .beamform import DoaResponse, argmax_doa
 from .features import LABELS, DoaFeature, PipelineConfig
-from .util import canonical_json, write_text
+from .util import canonical_json, json_numbers, write_text
 
 CLASS_ORDER = LABELS  # (left, front, right, none)
 
@@ -349,7 +349,10 @@ def load_model(path) -> SvmModel:
     """Read a model file and check it before use.
 
     Raises ModelFormatError for text that is not JSON, a foreign format or
-    version, a missing key, a class order other than CLASS_ORDER, a config
+    version, a missing key, a ``version``, ``seed`` or ``feature_dim`` that
+    is not a JSON integer, an array entry or ``lambda`` that is not a JSON
+    number (a bool or a numeric string is neither, see
+    ``util.json_numbers``), a class order other than CLASS_ORDER, a config
     that does not parse or does not match its ``config_hash``, a lambda
     that is not finite and positive, an array of a shape other than its
     ``_ARRAYS`` axes give, a non-finite value, a
@@ -379,8 +382,13 @@ def load_model(path) -> SvmModel:
         )
     try:
         config = PipelineConfig.from_dict(payload["config"])
-        lam, seed = float(payload["lambda"]), int(payload["seed"])
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        json_numbers(payload["version"], "version", integers=True)  # true and 1.0 equal 1
+        json_numbers(payload["feature_dim"], "feature_dim", integers=True)
+        seed = json_numbers(payload["seed"], "seed", integers=True)
+        lam = float(json_numbers(payload["lambda"], "lambda"))
+        for key in _ARRAYS:
+            json_numbers(payload[key], key)
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
         raise ModelFormatError(f"{path}: {exc}") from None
     if config.hash != payload["config_hash"]:
         raise ModelFormatError(f"{path}: config_hash does not match the stored config")

@@ -107,8 +107,11 @@ def stft(
 
     def transform(ch):
         # The spectrum is a temporary, freed before the thread's next rfft,
-        # which then reuses its memory rather than mapping fresh pages.
-        data[ch] = _hann_lines(np.fft.rfft(frames[ch], axis=1), lo, hi)
+        # which then reuses its memory rather than mapping fresh pages.  An
+        # infinite sample turns bins into NaN, which the caller's finiteness
+        # check refuses; the error state is per thread, so it is set here.
+        with np.errstate(invalid="ignore"):
+            data[ch] = _hann_lines(np.fft.rfft(frames[ch], axis=1), lo, hi)
 
     parallel_map(transform, clip.channels, "earshot-stft")
     return StftStack(

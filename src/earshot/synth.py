@@ -242,8 +242,15 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return Scenario.from_dict(json.load(fh))
+    """Read a ``save_scenario`` file.  Text that is not JSON, a missing key,
+    or a value of the wrong type or range is a ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return Scenario.from_dict(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: scenario file lacks the key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # undecodable or non-JSON text included
+        raise ValueError(f"{path}: bad scenario file: {exc}") from None
 
 
 @dataclass

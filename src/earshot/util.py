@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, config hashing, atomic writes, the
-CSV artifact format and the one thread pool."""
+JSON number rule, the CSV artifact format and the one thread pool."""
 
 from __future__ import annotations
 
@@ -60,6 +60,17 @@ def write_text(path, text: str) -> None:
     """Write a text file atomically (see ``atomic_open``)."""
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def json_numbers(value, key, integers: bool = False):
+    """``value``, once every leaf is a JSON number (with ``integers``, an integer), never a bool."""
+    if isinstance(value, list):
+        for item in value:
+            json_numbers(item, key, integers)
+    elif isinstance(value, bool) or not isinstance(value, int if integers else (int, float)):
+        raise ValueError(f"{key}: could not convert {json.dumps(value)} to "
+                         f"{'an integer' if integers else 'a number'}")
+    return value
 
 
 def csv_text(preamble: dict, header, rows) -> str:
@@ -142,48 +153,39 @@ if hasattr(os, "register_at_fork"):
 
 
 def _helper(inbox) -> None:
-    """A pool thread that outlives the calls it works for.
-
-    It waits for ``(name, work, left)`` in its inbox, runs ``work`` under the
-    call's name, takes the idle name again, puts its inbox back on the idle
-    list and only then releases ``left``, so the next call finds it idle.  A
-    task's BaseException ends the thread after it has left; a later call
-    starts a new helper in its place.
-    """
+    """A pool thread that outlives the calls it works for: it runs each
+    ``(name, work, left)`` from its inbox under the call's name, then takes
+    the idle name, puts its inbox back on the idle list and only then puts
+    to ``left``, so the next call finds it idle.  ``work`` records every
+    failure of a task, so a helper never ends while the process runs."""
     me = threading.current_thread()
     while True:
         name, work, left = inbox.get()
         me.name = name
-        try:
-            work()
-        except BaseException:
-            me.name = _IDLE_NAME
-            left.release()
-            raise
+        work()
         # An idle helper holds nothing of the call it served, whose tasks
         # may reach a whole clip or corpus.
         del work
         me.name = _IDLE_NAME
         with _idle_lock:
             _idle.append(inbox)
-        left.release()
+        left.put(None)
 
 
 def parallel_map(task, count: int, name: str) -> list:
-    """[task(0), ..., task(count - 1)], computed on min(usable cores, count)
-    threads.
+    """[task(0), ..., task(count - 1)] on min(usable cores, count) threads.
 
     The calling thread and one helper per further core each take the next
     unclaimed index until none is left.  Helpers persist: a call takes idle
-    ones and starts new ones only when too few are idle, never waiting for a
-    busy one, and puts the work in each helper's own queue.  While a helper works for the call it is named ``name-1``,
-    ``name-2``, ...; between calls it is named "earshot-pool".  WAV I/O,
-    FFTs and array arithmetic release the interpreter lock, so the threads
-    share the cores.  A task whose result depends on its index alone gives
-    results that do not depend on the number of threads.  When tasks fail,
-    no index is claimed after the failure, every helper leaves the call, and
-    the error of the lowest failing index is raised, as a serial loop would
-    raise it.
+    ones, starts new ones only when too few are idle (it never waits for a
+    busy one) and puts the work in each helper's own queue.  A helper is
+    named ``name-1``, ``name-2``, ... while it works for the call and
+    "earshot-pool" between calls.  WAV I/O, FFTs and array arithmetic
+    release the interpreter lock, so the threads share the cores, and a
+    task whose result depends on its index alone gives the same results on
+    any number of threads.  A failure, any BaseException of any task on any
+    thread, stops further claims; once every helper has left, the calling
+    thread raises the failure of the lowest index, as a serial loop would.
 
     A call made from inside a task runs as if one core were usable: its
     tasks run on the calling thread, through the same loop, since the outer
@@ -195,18 +197,17 @@ def parallel_map(task, count: int, name: str) -> list:
     stop = False
     unclaimed = iter(range(count))
 
-    def claim():
-        with lock:
-            return None if stop else next(unclaimed, None)
-
     def work():
         nonlocal stop
         outer, _pool.busy = _pool.busy, True
         try:
-            while (index := claim()) is not None:
+            while True:
+                with lock:
+                    if stop or (index := next(unclaimed, None)) is None:
+                        return
                 try:
                     results[index] = task(index)
-                except Exception as exc:  # re-raised by the calling thread
+                except BaseException as exc:  # raised by the calling thread
                     with lock:
                         errors[index] = exc
                         stop = True
@@ -219,19 +220,17 @@ def parallel_map(task, count: int, name: str) -> list:
         inboxes = [_idle.pop() for _ in range(min(wanted, len(_idle)))]
     while len(inboxes) < wanted:
         inboxes.append(queue.SimpleQueue())
-        threading.Thread(target=_helper, args=(inboxes[-1],), name=_IDLE_NAME,
-                         daemon=True).start()
-    lefts = [threading.Lock() for _ in inboxes]
-    for n, (inbox, left) in enumerate(zip(inboxes, lefts), 1):
-        left.acquire()  # released by the helper once it has left the call
+        threading.Thread(target=_helper, args=(inboxes[-1],), name=_IDLE_NAME, daemon=True).start()
+    left = queue.SimpleQueue()  # each helper puts to it once it has left the call
+    for n, inbox in enumerate(inboxes, 1):
         inbox.put((f"{name}-{n}", work, left))
     try:
         work()
     finally:
         with lock:
             stop = True  # an interrupted caller leaves the helpers nothing more to claim
-        for left in lefts:
-            left.acquire()
+        for _ in inboxes:
+            left.get()
     if errors:
         raise errors[min(errors)]
     return results

@@ -481,6 +481,14 @@ def _no_config_hash(p):
     del p["config_hash"]
 
 
+def _string_weight(p):
+    p["weights"][2][1] = "0.5"
+
+
+def _bool_bias(p):
+    p["biases"][3] = True
+
+
 # One hand edit of a valid model file per way it can go wrong, and the word
 # the error must name.
 MODEL_EDITS = {
@@ -508,6 +516,18 @@ MODEL_EDITS = {
     "nan-lambda": (_nan_lambda, "lambda must be finite and positive"),
     "zero-lambda": (_zero_lambda, "lambda must be finite and positive"),
     "truncated": (None, "not JSON"),
+    # numbers only where numbers belong: a bool or a numeric string never counts
+    "float-version": (lambda p: p.update(version=1.0), "version: could not convert 1.0 to an integer"),
+    "bool-version": (lambda p: p.update(version=True), "version: could not convert true to an integer"),
+    "float-seed": (lambda p: p.update(seed=1.9), "seed: could not convert 1.9 to an integer"),
+    "string-seed": (lambda p: p.update(seed="7"), 'seed: could not convert "7" to an integer'),
+    "float-feature-dim": (lambda p: p.update(feature_dim=60.0),
+                          "feature_dim: could not convert 60.0 to an integer"),
+    "string-lambda": (lambda p: p.update({"lambda": "1.0"}),
+                      'lambda: could not convert "1.0" to a number'),
+    "bool-lambda": (lambda p: p.update({"lambda": True}), "lambda: could not convert true to a number"),
+    "string-weight": (_string_weight, 'weights: could not convert "0.5" to a number'),
+    "bool-bias": (_bool_bias, "biases: could not convert true to a number"),
 }
 
 
@@ -617,12 +637,12 @@ def _model_edit(draw, payload):
 
 @pytest.mark.parametrize("seed", [float("inf"), float("-inf")])
 def test_load_model_rejects_an_infinite_seed(tmp_path, model_file, seed):
-    """JSON's Infinity parses to a float that int() cannot convert."""
+    """JSON's Infinity parses to a float, which is not a JSON integer."""
     payload = json.loads(model_file.read_text())
     payload["seed"] = seed
     path = tmp_path / "m.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ModelFormatError, match="cannot convert float infinity"):
+    with pytest.raises(ModelFormatError, match=f"seed: could not convert {json.dumps(seed)} to an"):
         load_model(path)
 
 

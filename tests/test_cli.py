@@ -613,8 +613,9 @@ def test_predict_refuses_a_stride_below_one_sample_before_reading(arts, front_wa
 
 
 def test_a_non_finite_sample_names_its_recording_and_window(tmp_path, arts, capsys):
-    """One NaN in one recording of a float32 corpus: extract, micstudy and
-    predict exit 4 with one line naming that WAV and the failing window's t_e."""
+    """One NaN, +inf or -inf in one recording of a float32 corpus: extract,
+    micstudy and predict exit 4 with one line naming that WAV and the
+    failing window's t_e, and print no warning."""
     assert main(["simulate", "--out", str(tmp_path), "--per-class", "2", "--mics", "4",
                  "--encoding", "float32", "--seed", "3"]) == 0
     manifest = tmp_path / "manifest.csv"
@@ -625,22 +626,23 @@ def test_a_non_finite_sample_names_its_recording_and_window(tmp_path, arts, caps
     data = bytearray(Path(bad.wav).read_bytes())
     assert data[36:40] == b"data"  # a plain 44-byte header
     at = 44 + (frame * 4 + 1) * 4  # channel 1
-    data[at:at + 4] = np.float32(np.nan).tobytes()
-    Path(bad.wav).write_bytes(bytes(data))
-    capsys.readouterr()
-
-    message = f"{bad.wav}: window ending at t_e {bad.t0:.3f} s: feature energies must be finite"
-    assert_exit_4(["extract", str(manifest), "--out", str(tmp_path / "f.csv")], capsys, message)
-    assert_exit_4(["micstudy", str(manifest), "--sizes", "4", "--trials", "1", "--folds", "2"],
-                  capsys, message)
-    assert not (tmp_path / "f.csv").exists()
-
     # the first window whose STFT frames reach the sample: 45 frames of 2048
     # at a hop of 1024 cover the first 47,104 of a window's 48,000 samples
     t_e = next(t for t in window_times(n_frames / rate, 1.0, 0.1)
                if round(t * rate) - rate + 47104 > frame)
-    assert_exit_4(["predict", bad.wav, bad.geometry, "--model", str(arts["model"])], capsys,
-                  f"{bad.wav}: window ending at t_e {t_e:.3f} s: feature energies must be finite")
+    message = f"{bad.wav}: window ending at t_e {bad.t0:.3f} s: feature energies must be finite"
+    capsys.readouterr()
+
+    for value in (np.nan, np.inf, -np.inf):
+        data[at:at + 4] = np.float32(value).tobytes()
+        Path(bad.wav).write_bytes(bytes(data))
+        assert_exit_4(["extract", str(manifest), "--out", str(tmp_path / "f.csv")], capsys,
+                      message)
+        assert_exit_4(["micstudy", str(manifest), "--sizes", "4", "--trials", "1", "--folds", "2"],
+                      capsys, message)
+        assert not (tmp_path / "f.csv").exists()
+        assert_exit_4(["predict", bad.wav, bad.geometry, "--model", str(arts["model"])], capsys,
+                      f"{bad.wav}: window ending at t_e {t_e:.3f} s: feature energies must be finite")
 
 
 def test_a_second_call_builds_no_parser(monkeypatch, capsys):

@@ -615,31 +615,38 @@ def test_parallel_map_callers_on_many_threads_share_the_helpers(monkeypatch):
     assert not [t for t in threading.enumerate() if t.name.startswith("earshot-caller")]
 
 
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_parallel_map_replaces_a_helper_that_died(monkeypatch):
-    """A task that raises SystemExit ends the helper it ran on; that call
-    still returns, and so does the next, on a helper started in its place."""
+def test_parallel_map_raises_a_helpers_system_exit_and_keeps_the_helper(monkeypatch):
+    """A task that raises SystemExit on a helper makes the call raise it,
+    as any other failure; the helper lives on, and the next call runs on
+    that same helper."""
     monkeypatch.setattr(util, "_usable_cores", lambda: 2)
     barrier = threading.Barrier(2)
-    dead = []
+    helper = []
 
     def task(i):
         barrier.wait(timeout=60)  # one index per thread
         if threading.current_thread().name == "earshot-exit-1":
-            dead.append(threading.current_thread())
-            raise SystemExit
+            helper.append(threading.current_thread())
+            raise SystemExit(3)
         return i
 
-    _finishes(lambda: parallel_map(task, 2, "earshot-exit"))
-    dead[0].join(timeout=60)
-    assert not dead[0].is_alive()
+    def call():
+        try:
+            return parallel_map(task, 2, "earshot-exit")
+        except SystemExit as exc:
+            return exc
 
-    def name(i):
+    got = _finishes(call)
+    assert isinstance(got, SystemExit) and got.code == 3
+    assert helper[0].is_alive() and helper[0].name == "earshot-pool"
+
+    def thread(i):
         barrier.wait(timeout=60)
-        return threading.current_thread().name
+        return threading.current_thread()
 
-    assert sorted(_finishes(lambda: parallel_map(name, 2, "earshot-next"))) == [
-        "earshot-next-1", "pool-test"]
+    threads = _finishes(lambda: parallel_map(thread, 2, "earshot-next"))
+    assert helper[0] in threads and sorted(t.name for t in threads) == [
+        "earshot-pool", "pool-test"]
 
 
 def _pool_in_forked_child(conn):

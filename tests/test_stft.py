@@ -247,3 +247,24 @@ def test_stft_bytes_do_not_depend_on_the_thread_count(monkeypatch):
             assert got.strides == ref.strides
             assert got.tobytes(order="A") == ref.tobytes(order="A")
         assert row.tobytes() == want_row.tobytes()
+
+
+def test_stft_raises_a_helpers_system_exit(monkeypatch):
+    """With two usable cores, one channel whose windowing raises SystemExit
+    on a helper makes stft raise it, rather than return a stack whose slice
+    for that channel was never written."""
+    clip = AudioClip(np.random.default_rng(9).standard_normal((2, 4800)), 48000)
+    monkeypatch.setattr(util, "_usable_cores", lambda: 2)
+    barrier = threading.Barrier(2)
+    hann_lines = stft_module._hann_lines
+
+    def exits_on_the_helper(spectrum, lo, hi):
+        barrier.wait(timeout=60)  # one channel per thread
+        if threading.current_thread().name == "earshot-stft-1":
+            raise SystemExit(5)
+        return hann_lines(spectrum, lo, hi)
+
+    monkeypatch.setattr(stft_module, "_hann_lines", exits_on_the_helper)
+    with pytest.raises(SystemExit) as exc:
+        stft(clip, 2048, 1024)
+    assert exc.value.code == 5

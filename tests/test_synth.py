@@ -1,7 +1,9 @@
 """Plan-view acoustics: occlusion, first-order reflections, scene rendering."""
 
+import dataclasses
 import errno
 import io
+import json
 import os
 import threading
 import time
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from earshot import synth, util
 from earshot._kernels_np import lerp_mix
-from earshot.audio import AudioClip, UnsupportedEncodingError, load_wav, write_wav
+from earshot.audio import ArrayGeometry, AudioClip, UnsupportedEncodingError, load_wav, write_wav
 from earshot.beamform import argmax_doa, srp_phat
 from earshot.dataset import load_manifest
 from earshot.features import PipelineConfig, extract_feature
@@ -564,6 +566,65 @@ def test_scenario_file_round_trip(tmp_path_factory, scenario):
     again = path.with_name("again.json")
     save_scenario(back, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _edit_scene(change):
+    def apply(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+    return apply
+
+
+# One hand edit of a valid scenario file per way it can go wrong, and the
+# text its error must hold.
+SCENARIO_EDITS = {
+    "truncated": (lambda text: text[: len(text) // 2], "Expecting"),
+    "not-an-object": (lambda text: "[1, 2]", "bad scenario file"),
+    "no-walls": (_edit_scene(lambda p: p.pop("walls")), "lacks the key 'walls'"),
+    "no-waypoint-times": (_edit_scene(lambda p: p["path"].pop("times")),
+                          "lacks the key 'times'"),
+    "string-duration": (_edit_scene(lambda p: p.update(duration="5")), "bad scenario file"),
+    "string-walls": (_edit_scene(lambda p: p.update(walls="abc")), "could not convert"),
+    "ragged-walls": (_edit_scene(lambda p: p["walls"][0].pop()), "inhomogeneous"),
+    "number-path": (_edit_scene(lambda p: p.update(path=5)), "not subscriptable"),
+    "number-band": (_edit_scene(lambda p: p["signal"].update(band=5)), "not iterable"),
+    "unknown-label": (_edit_scene(lambda p: p.update(label="front")), "scenario label"),
+    "huge-int-wall": (_edit_scene(lambda p: p["walls"][0][0].__setitem__(0, 10**400)),
+                      "too large to convert"),
+    "reversed-times": (_edit_scene(lambda p: p["path"]["times"].reverse()), "strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_EDITS))
+def test_load_scenario_rejects_hand_edited_files(tmp_path, case):
+    """Each edit is one ValueError that starts with the file's path."""
+    good = tmp_path / "good.json"
+    save_scenario(t_junction_scenario("left", seed=3), good)
+    edit, message = SCENARIO_EDITS[case]
+    bad = tmp_path / f"{case}.json"
+    bad.write_text(edit(good.read_text()))
+    with pytest.raises(ValueError) as exc:
+        load_scenario(bad)
+    assert type(exc.value) is ValueError
+    assert str(exc.value).startswith(f"{bad}: ") and message in str(exc.value)
+
+
+def test_a_planar_array_cannot_tell_front_from_back():
+    """Every microphone of random_planar_array lies at z = 0, so without
+    walls a car and its mirror image across z = 0 render the same bytes.
+    The same positions with y and z swapped have depth, and hear the
+    difference."""
+    scene = t_junction_scenario("left", seed=41)
+    open_scene = dataclasses.replace(scene, walls=np.zeros((0, 2, 2)))
+    mirrored = dataclasses.replace(
+        open_scene, path=SourcePath(scene.path.times, scene.path.points * [1.0, -1.0]))
+    planar = random_planar_array(8, seed=43)
+    assert np.all(planar.positions[:, 2] == 0.0)
+    deep = ArrayGeometry(planar.positions[:, [0, 2, 1]])
+    for geometry, same in ((planar, True), (deep, False)):
+        a, b = (render(s, geometry).clip.samples for s in (open_scene, mirrored))
+        assert (a.tobytes() == b.tobytes()) is same
 
 
 def test_blocked_matrix_matches_reference_on_touching_and_collinear_segments():
