@@ -59,13 +59,6 @@ class AzimuthGrid:
         b = np.arange(self.n_bins, dtype=np.float64)
         return -90.0 + (b + 0.5) * self.bin_width
 
-    def bin_of(self, azimuth_deg: float) -> int:
-        """Index of the bin containing the given azimuth, edges clamped."""
-        if not -90.0 <= azimuth_deg <= 90.0:
-            raise ValueError("azimuth outside [-90, 90]")
-        b = int(np.floor((azimuth_deg + 90.0) / self.bin_width))
-        return min(max(b, 0), self.n_bins - 1)
-
 
 @dataclass
 class DoaResponse:

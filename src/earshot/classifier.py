@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .beamform import DoaResponse, argmax_doa
 from .features import LABELS, DoaFeature, PipelineConfig
 from .util import canonical_json, json_numbers, write_text
 
@@ -330,11 +329,6 @@ def classify_azimuth(alpha_max: float, alpha_th: float = 50.0) -> str:
     if alpha_max > alpha_th:
         return "right"
     return "front"
-
-
-def doa_baseline(response: DoaResponse, alpha_th: float = 50.0) -> str:
-    """Classify a DoA response by thresholding its strongest azimuth."""
-    return classify_azimuth(argmax_doa(response), alpha_th)
 
 
 def save_model(model: SvmModel, path, extra: dict | None = None) -> None:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import AudioClip, load_geometry
-from .beamform import DoaResponse
-from .classifier import CLASS_ORDER, doa_baseline, predict, train_many
+from .beamform import DoaResponse, argmax_doa
+from .classifier import CLASS_ORDER, classify_azimuth, predict, train_many
 from .dataset import FRONT_OFFSET, ManifestEntry, extract_manifest, stratified_folds
 from .features import PipelineConfig, augment_training_set, extract_feature
 from .util import csv_text, derive_seed
@@ -225,8 +225,7 @@ def doa_baseline_eval(samples, alpha_th: float = 50.0) -> MetricsReport:
         raise ValueError("no left/front/right samples to score")
     cm = ConfusionMatrix()
     for s in scored:
-        response = feature_response(s)
-        cm.add(s.label, doa_baseline(response, alpha_th))
+        cm.add(s.label, classify_azimuth(argmax_doa(feature_response(s)), alpha_th))
     classes = ("left", "front", "right")
     report = _report_from_confusion(cm, classes=classes)
     return report

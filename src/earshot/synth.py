@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels_np
 from .audio import ArrayGeometry, AudioClip, save_geometry, write_wav
 from .dataset import ManifestEntry, RecordingManifest, save_manifest
-from .util import derive_seed, parallel_map, write_text
+from .util import derive_seed, json_numbers, parallel_map, write_text
 
 _MASK_STRIDE = 64  # path validity is re-evaluated every this many samples (1.3 ms)
 _BLOCK = 1 << 15  # samples of the source track positioned and mixed at once
@@ -223,17 +223,24 @@ def _plain(value):
     return value
 
 
-def _build(kind, data: dict):
+def _build(kind, data: dict, where: str = ""):
     """Inverse of ``_plain`` for the dataclass ``kind``: each field is taken
-    by name (a missing one is a KeyError), and a field whose type is a
-    dataclass, or an optional one, is built the same way unless it is None."""
+    by name (a missing one is a KeyError).  None stays None where the type
+    allows it, a dataclass field is built the same way, a string is taken as
+    it is, and every other field must hold JSON numbers, integers for an
+    ``int`` (a ValueError naming ``where`` and the field)."""
     hints = get_type_hints(kind)
     values = {}
     for f in fields(kind):
-        value = data[f.name]
-        part = next((t for t in get_args(hints[f.name]) or (hints[f.name],) if is_dataclass(t)),
-                    None)
-        values[f.name] = value if part is None or value is None else _build(part, value)
+        value, key = data[f.name], where + f.name
+        types = get_args(hints[f.name]) or (hints[f.name],)
+        part = next((t for t in types if is_dataclass(t)), None)
+        if str in types or (value is None and type(None) in types):
+            values[f.name] = value
+        elif part is not None:
+            values[f.name] = _build(part, value, key + ".")
+        else:
+            values[f.name] = json_numbers(value, key, integers=int in types)
     return kind(**values)
 
 

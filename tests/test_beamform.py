@@ -194,11 +194,6 @@ def test_azimuth_grid_layout():
     centers = grid.bin_centers
     assert centers[0] == -87.0 and centers[-1] == 87.0
     assert np.allclose(np.diff(centers), 6.0)
-    assert grid.bin_of(-90.0) == 0
-    assert grid.bin_of(90.0) == 29
-    assert grid.bin_of(25.0) == 19
-    with pytest.raises(ValueError):
-        grid.bin_of(91.0)
     with pytest.raises(ValueError):
         AzimuthGrid(1)
 

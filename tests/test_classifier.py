@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from earshot.beamform import AzimuthGrid, DoaResponse
+from earshot.beamform import AzimuthGrid, DoaResponse, argmax_doa
 from earshot.classifier import (
     CLASS_ORDER,
     ModelFormatError,
     SvmModel,
     classify_azimuth,
-    doa_baseline,
     load_model,
     predict,
     save_model,
@@ -332,10 +331,10 @@ def test_doa_baseline_reads_response_peak():
         e[b] = 1.0
         return DoaResponse(e, grid)
 
-    assert doa_baseline(one_hot(0)) == "left"  # -87
-    assert doa_baseline(one_hot(19)) == "front"  # +27
-    assert doa_baseline(one_hot(29)) == "right"  # +87
-    assert doa_baseline(one_hot(6), alpha_th=40.0) == "left"  # -51
+    assert classify_azimuth(argmax_doa(one_hot(0))) == "left"  # -87
+    assert classify_azimuth(argmax_doa(one_hot(19))) == "front"  # +27
+    assert classify_azimuth(argmax_doa(one_hot(29))) == "right"  # +87
+    assert classify_azimuth(argmax_doa(one_hot(6)), alpha_th=40.0) == "left"  # -51
 
 
 def test_model_round_trip(tmp_path):

@@ -104,3 +104,13 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     make_benchmark(tmp_path / "corpus", per_class=1)
     monkeypatch.chdir(tmp_path)
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_layout_names_every_module():
+    """The README's Layout block lists every module of the package."""
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```", (ROOT / "README.md").read_text(),
+                       re.DOTALL | re.MULTILINE)
+    assert layout is not None
+    listed = set(re.findall(r"^\s+(\S+\.py)\s", layout.group(1), re.MULTILINE))
+    modules = {p.name for p in (ROOT / "src" / "earshot").glob("*.py")} - {"__init__.py"}
+    assert sorted(modules - listed) == []

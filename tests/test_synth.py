@@ -593,6 +593,18 @@ SCENARIO_EDITS = {
     "huge-int-wall": (_edit_scene(lambda p: p["walls"][0][0].__setitem__(0, 10**400)),
                       "too large to convert"),
     "reversed-times": (_edit_scene(lambda p: p["path"]["times"].reverse()), "strictly increasing"),
+    "bool-duration": (_edit_scene(lambda p: p.update(duration=True)),
+                      "duration: could not convert true to a number"),
+    "string-seed": (_edit_scene(lambda p: p.update(seed="x")),
+                    'seed: could not convert "x" to an integer'),
+    "float-seed": (_edit_scene(lambda p: p.update(seed=1.5)),
+                   "seed: could not convert 1.5 to an integer"),
+    "string-snr": (_edit_scene(lambda p: p.update(snr_db="15")),
+                   'snr_db: could not convert "15" to a number'),
+    "null-noise-floor": (_edit_scene(lambda p: p.update(noise_floor=None)),
+                         "noise_floor: could not convert null to a number"),
+    "float-harmonics": (_edit_scene(lambda p: p["signal"].update(tone_harmonics=4.5)),
+                        "signal.tone_harmonics: could not convert 4.5 to an integer"),
 }
 
 
