@@ -9,7 +9,6 @@ writes and what multichannel recorders write.  Integer samples are scaled by
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import atomic_open, json_numbers, write_text
+from .util import atomic_open, load_json, save_json
 
 
 class WavError(Exception):
@@ -116,7 +115,7 @@ class ArrayGeometry:
             raise ValueError("positions must be an (M, 3) array")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("microphone positions must be finite")
-        if not 0 < self.speed_of_sound < np.inf:
+        if not 0 < float(self.speed_of_sound) < np.inf:  # an int too large for a float fails
             raise ValueError("speed_of_sound must be finite and positive")
         if len(np.unique(self.positions, axis=0)) != len(self.positions):
             raise ValueError("microphone positions must be distinct")
@@ -137,28 +136,12 @@ class ArrayGeometry:
 
 
 def save_geometry(geometry: ArrayGeometry, path) -> None:
-    payload = {
-        "speed_of_sound": geometry.speed_of_sound,
-        "positions": [[float(v) for v in row] for row in geometry.positions],
-    }
-    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    save_json(geometry, path)
 
 
 def load_geometry(path) -> ArrayGeometry:
-    """Read a ``save_geometry`` file.  Text that is not JSON, a missing key,
-    a value that is not a JSON number (a bool or a numeric string included),
-    or a bad shape or value is a ValueError naming the file."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        positions = np.asarray(json_numbers(payload["positions"], "positions"),
-                               dtype=np.float64)
-        return ArrayGeometry(positions,
-                             float(json_numbers(payload["speed_of_sound"], "speed_of_sound")))
-    except KeyError as exc:
-        raise ValueError(f"{path}: geometry file lacks the key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # undecodable or non-JSON text included
-        raise ValueError(f"{path}: bad geometry file: {exc}") from None
+    """Read a ``save_geometry`` file (see ``util.load_json``)."""
+    return load_json(ArrayGeometry, path, "geometry")
 
 
 def check_mic_count(clip: AudioClip, geometry: ArrayGeometry, wav_path, geometry_path) -> None:

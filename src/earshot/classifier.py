@@ -349,7 +349,7 @@ def load_model(path) -> SvmModel:
     ``util.json_numbers``), a class order other than CLASS_ORDER, a config
     that does not parse or does not match its ``config_hash``, a lambda
     that is not finite and positive, an array of a shape other than its
-    ``_ARRAYS`` axes give, a non-finite value, a
+    ``_ARRAYS`` axes give, a non-finite value or an integer no float holds, a
     scaler_std <= 0 or below 1e-12 (``train`` never writes one), or numbers
     that make ``predict`` overflow on some feature in [0, 1]^dim: the bound
     |a_c| (sum_d |w_cd| (1 + |mean_d|) / std_d + |b_c|) + |b'_c| on the Platt
@@ -397,6 +397,8 @@ def load_model(path) -> SvmModel:
         shape = tuple(lengths[axis] for axis in axes)
         try:
             value = np.asarray(payload[key], dtype=np.float64)
+        except OverflowError as exc:  # an int too large for a float
+            raise ModelFormatError(f"{path}: {key}: {exc}") from None
         except (TypeError, ValueError):
             value = None
         if value is None or value.shape != shape:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -117,8 +116,8 @@ def resolve_run_config(args) -> dict:
             run[key] = value
 
     for key, o in _OPTIONS.items():
-        # NaN fails the comparison; an int too large for math.isfinite passes it
-        if o.kind is float and not -math.inf < run[key] < math.inf:
+        # NaN fails the comparison, and so does an int too large for a float
+        if o.kind is float and not abs(run[key]) <= sys.float_info.max:
             raise UsageError(f"{key.replace('_', '-')} must be finite, got {run[key]}")
     if run["baseline"] not in ("svm", "doa"):
         raise UsageError("baseline must be 'svm' or 'doa'")

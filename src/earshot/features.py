@@ -215,7 +215,7 @@ def load_features(path) -> list:
     The cache checks itself: the ``# config:`` line must parse and match the
     ``# config_hash:`` line, the header must name the config's columns and
     be followed by at least one row, and every row must hold one value per
-    column.  A violation is a ValueError that names the line at fault.
+    column and a finite t_e.  A violation is a ValueError that names the line at fault.
     """
     preamble, rows = read_csv(path)
     if "config" not in preamble or "config_hash" not in preamble:
@@ -241,6 +241,8 @@ def load_features(path) -> list:
             if len(parts) != len(cols):
                 raise ValueError(f"expected {len(cols)} fields, got {len(parts)}")
             rid, label, env, motion, t_e = parts[:5]
+            if not math.isfinite(float(t_e)):
+                raise ValueError(f"t_e must be finite, got {t_e}")
             matrix = np.array([float(v) for v in parts[5:]]).reshape(config.segments, config.bins)
             samples.append(
                 LabeledSample(

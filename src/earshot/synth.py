@@ -23,17 +23,15 @@ wall across the far side of the junction, type B leaves the far side open.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_type_hints
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels_np
 from .audio import ArrayGeometry, AudioClip, save_geometry, write_wav
 from .dataset import ManifestEntry, RecordingManifest, save_manifest
-from .util import derive_seed, json_numbers, parallel_map, write_text
+from .util import build, derive_seed, load_json, parallel_map, plain, save_json
 
 _MASK_STRIDE = 64  # path validity is re-evaluated every this many samples (1.3 ms)
 _BLOCK = 1 << 15  # samples of the source track positioned and mixed at once
@@ -137,6 +135,14 @@ def _path_validity(walls, src, receivers) -> np.ndarray:
 # scenario description
 
 
+def _finite(**values) -> None:
+    """A ValueError naming the first value, None aside, that holds NaN or an
+    infinity; an int too large for a float fails its conversion."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=np.float64))):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass
 class SourcePath:
     """Piecewise-linear 2D trajectory, clamped outside the waypoint span."""
@@ -149,6 +155,7 @@ class SourcePath:
         self.points = np.asarray(self.points, dtype=np.float64)
         if self.times.ndim != 1 or self.points.shape != (self.times.size, 2):
             raise ValueError("need times (P,) and points (P, 2)")
+        _finite(times=self.times, points=self.points)
         if self.times.size < 1 or np.any(np.diff(self.times) <= 0):
             raise ValueError("waypoint times must be strictly increasing")
 
@@ -170,6 +177,7 @@ class SignalSpec:
 
     def __post_init__(self):
         self.band = tuple(self.band)
+        _finite(band=self.band, tone_fundamental=self.tone_fundamental, tone_gain=self.tone_gain)
 
 
 @dataclass
@@ -179,6 +187,7 @@ class ArrayPose:
 
     def __post_init__(self):
         self.position = tuple(self.position)
+        _finite(position=self.position, heading_deg=self.heading_deg)
 
 
 @dataclass
@@ -199,65 +208,27 @@ class Scenario:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         self.walls = np.asarray(self.walls, dtype=np.float64).reshape(-1, 2, 2)
+        _finite(duration=self.duration, walls=self.walls, snr_db=self.snr_db,
+                noise_floor=self.noise_floor)
         if self.label != "none" and self.path is None:
             raise ValueError(f"{self.label} scenario needs a source path")
 
     def to_dict(self) -> dict:
-        return _plain(self)
+        return plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """Inverse of ``to_dict``; every key it writes is required."""
-        return _build(cls, d)
-
-
-def _plain(value):
-    """A scene part as JSON data: a dataclass as the dict of its fields, an
-    array or a tuple as a list, anything else as it is."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def _build(kind, data: dict, where: str = ""):
-    """Inverse of ``_plain`` for the dataclass ``kind``: each field is taken
-    by name (a missing one is a KeyError).  None stays None where the type
-    allows it, a dataclass field is built the same way, a string is taken as
-    it is, and every other field must hold JSON numbers, integers for an
-    ``int`` (a ValueError naming ``where`` and the field)."""
-    hints = get_type_hints(kind)
-    values = {}
-    for f in fields(kind):
-        value, key = data[f.name], where + f.name
-        types = get_args(hints[f.name]) or (hints[f.name],)
-        part = next((t for t in types if is_dataclass(t)), None)
-        if str in types or (value is None and type(None) in types):
-            values[f.name] = value
-        elif part is not None:
-            values[f.name] = _build(part, value, key + ".")
-        else:
-            values[f.name] = json_numbers(value, key, integers=int in types)
-    return kind(**values)
+        return build(cls, d)
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    write_text(path, json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n")
+    save_json(scenario, path)
 
 
 def load_scenario(path) -> Scenario:
-    """Read a ``save_scenario`` file.  Text that is not JSON, a missing key,
-    or a value of the wrong type or range is a ValueError naming the file."""
-    try:
-        with open(path) as fh:
-            return Scenario.from_dict(json.load(fh))
-    except KeyError as exc:
-        raise ValueError(f"{path}: scenario file lacks the key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # undecodable or non-JSON text included
-        raise ValueError(f"{path}: bad scenario file: {exc}") from None
+    """Read a ``save_scenario`` file (see ``util.load_json``)."""
+    return load_json(Scenario, path, "scenario")
 
 
 @dataclass

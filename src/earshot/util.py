@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, config hashing, atomic writes, the
-JSON number rule, the CSV artifact format and the one thread pool."""
+JSON number rule and dataclass codec, CSV artifacts and the one thread pool."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ import os
 import queue
 import secrets
 import threading
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_type_hints
 
 
 def derive_seed(master: int, tag: str) -> int:
@@ -71,6 +73,56 @@ def json_numbers(value, key, integers: bool = False):
         raise ValueError(f"{key}: could not convert {json.dumps(value)} to "
                          f"{'an integer' if integers else 'a number'}")
     return value
+
+
+def plain(value):
+    """A dataclass as JSON data: the dict of its fields, each made plain in turn; a
+    NumPy array or scalar as its ``tolist``, a tuple as a list, anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def build(kind, data: dict, where: str = ""):
+    """Inverse of ``plain`` for the dataclass ``kind``: each field is taken
+    by name (a missing one is a KeyError).  None stays None where the type
+    allows it, a dataclass field is built the same way, a string is taken as
+    it is, and every other field must hold JSON numbers, integers for an
+    ``int`` (a ValueError naming ``where`` and the field)."""
+    hints = get_type_hints(kind)
+    values = {}
+    for f in fields(kind):
+        value, key = data[f.name], where + f.name
+        types = get_args(hints[f.name]) or (hints[f.name],)
+        part = next((t for t in types if is_dataclass(t)), None)
+        if str in types or (value is None and type(None) in types):
+            values[f.name] = value
+        elif part is not None:
+            values[f.name] = build(part, value, key + ".")
+        else:
+            values[f.name] = json_numbers(value, key, integers=int in types)
+    return kind(**values)
+
+
+def save_json(obj, path) -> None:
+    """Write the dataclass ``obj`` as ``plain`` JSON: indented, keys sorted, a final newline."""
+    write_text(path, json.dumps(plain(obj), indent=2, sort_keys=True) + "\n")
+
+
+def load_json(kind, path, noun: str):
+    """Read a ``save_json`` file of the dataclass ``kind``.  Text that is not JSON, a missing
+    key, or a value of the wrong type or range is a ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return build(kind, json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: {noun} file lacks the key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # undecodable or non-JSON text included
+        raise ValueError(f"{path}: bad {noun} file: {exc}") from None
 
 
 def csv_text(preamble: dict, header, rows) -> str:

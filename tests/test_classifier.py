@@ -527,6 +527,11 @@ MODEL_EDITS = {
     "bool-lambda": (lambda p: p.update({"lambda": True}), "lambda: could not convert true to a number"),
     "string-weight": (_string_weight, 'weights: could not convert "0.5" to a number'),
     "bool-bias": (_bool_bias, "biases: could not convert true to a number"),
+    # JSON integers beyond float64's range
+    "huge-int-weight": (lambda p: p["weights"][1].__setitem__(3, 10**400),
+                        "weights: int too large to convert"),
+    "huge-int-calib-b": (lambda p: p["calib_b"].__setitem__(0, -(10**400)),
+                         "calib_b: int too large to convert"),
 }
 
 
@@ -605,6 +610,7 @@ def test_model_file_round_trip(tmp_path_factory, data, config, lam, seed, tame):
 
 _json_values = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 100), st.floats(), st.text(max_size=5),
+    st.integers(2**1024, 10**400), st.integers(-(10**400), -(2**1024)),  # beyond any float64
     st.lists(st.floats(-2.0, 2.0), max_size=3), st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
 )
 
@@ -650,7 +656,7 @@ def test_load_model_rejects_an_infinite_seed(tmp_path, model_file, seed):
 def test_model_fuzz_loads_or_raises_model_format_error(model_file, tmp_path_factory, data):
     """Any one edit of a valid model file either loads into a usable model or
     raises ModelFormatError (exit 4); it never escapes as KeyError,
-    IndexError or TypeError."""
+    IndexError, TypeError or OverflowError."""
     payload = data.draw(_model_edit(json.loads(model_file.read_text())))
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     path.write_text(json.dumps(payload))

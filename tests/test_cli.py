@@ -146,6 +146,14 @@ def test_exit_codes_for_bad_configuration(tmp_path, capsys):
         config = tmp_path / f"nonfinite-{option}.json"
         config.write_text(text)
         cases.append((["train", "f.csv", "--out", "m.json", "--config", str(config)], option))
+    # ... and so do integers that no float64 holds, before any file is read
+    for option, command in [("lambda", ["train", "f.csv", "--out", "m.json"]),
+                            ("window", ["extract", "m.csv", "--out", "f.csv"]),
+                            ("stride", ["predict", "a.wav", "g.json", "--model", "m.json"]),
+                            ("fmax", ["extract", "m.csv", "--out", "f.csv"])]:
+        config = tmp_path / f"huge-{option}.json"
+        config.write_text(json.dumps({option: 10**400}))
+        cases.append((command + ["--config", str(config)], option))
     for argv, option in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

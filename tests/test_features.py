@@ -346,6 +346,8 @@ CACHE_EDITS = {
     "nan-energy": (_edit_row(_set(9, "nan"), "feature energies must be finite"), None),
     "label": (_edit_row(_set(1, "up"), "label must be one of"), None),
     "t_e": (_edit_row(_set(4, "soon"), "could not convert"), None),
+    "nan-t_e": (_edit_row(_set(4, "nan"), "t_e must be finite, got nan"), None),
+    "infinite-t_e": (_edit_row(_set(4, "-inf"), "t_e must be finite, got -inf"), None),
     "no-rows": (_drop_rows, None),
 }
 

@@ -525,6 +525,19 @@ def test_scenario_dict_missing_key_raises(key):
         Scenario.from_dict(d)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: SourcePath([0.0, 1.0], [[0.0, 9.0], [float("nan"), 9.0]]), "points"),
+    (lambda: SignalSpec(tone_fundamental=float("inf")), "tone_fundamental"),
+    (lambda: ArrayPose(heading_deg=float("-inf")), "heading_deg"),
+    (lambda: Scenario("none", 1.0, 0, snr_db=float("nan")), "snr_db"),
+])
+def test_code_built_scene_parts_refuse_non_finite_numbers(make, name):
+    """The checks a scenario file gets are made at construction, so scenes
+    built in code get them too."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make()
+
+
 _coords = st.floats(-100.0, 100.0)
 
 
@@ -605,6 +618,22 @@ SCENARIO_EDITS = {
                          "noise_floor: could not convert null to a number"),
     "float-harmonics": (_edit_scene(lambda p: p["signal"].update(tone_harmonics=4.5)),
                         "signal.tone_harmonics: could not convert 4.5 to an integer"),
+    # JSON's NaN and Infinity parse to floats, which no scene number may hold
+    "nan-snr": (_edit_scene(lambda p: p.update(snr_db=float("nan"))), "snr_db must be finite"),
+    "infinite-duration": (_edit_scene(lambda p: p.update(duration=float("inf"))),
+                          "duration must be finite"),
+    "nan-noise-floor": (_edit_scene(lambda p: p.update(noise_floor=float("nan"))),
+                        "noise_floor must be finite"),
+    "infinite-wall": (_edit_scene(lambda p: p["walls"][0][0].__setitem__(0, float("-inf"))),
+                      "walls must be finite"),
+    "nan-waypoint": (_edit_scene(lambda p: p["path"]["points"][0].__setitem__(0, float("nan"))),
+                     "points must be finite"),
+    "infinite-band": (_edit_scene(lambda p: p["signal"].update(band=[50.0, float("inf")])),
+                      "band must be finite"),
+    "nan-heading": (_edit_scene(lambda p: p["pose"].update(heading_deg=float("nan"))),
+                    "heading_deg must be finite"),
+    "huge-int-duration": (_edit_scene(lambda p: p.update(duration=10**400)),
+                          "too large to convert"),
 }
 
 
