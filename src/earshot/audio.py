@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import atomic_open, load_json, save_json
+from .util import atomic_open, load_json
 
 
 class WavError(Exception):
@@ -135,12 +135,8 @@ class ArrayGeometry:
         return ArrayGeometry(flipped, self.speed_of_sound)
 
 
-def save_geometry(geometry: ArrayGeometry, path) -> None:
-    save_json(geometry, path)
-
-
 def load_geometry(path) -> ArrayGeometry:
-    """Read a ``save_geometry`` file (see ``util.load_json``)."""
+    """Read a geometry file written by ``util.save_json`` (see ``util.load_json``)."""
     return load_json(ArrayGeometry, path, "geometry")
 
 

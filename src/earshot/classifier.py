@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .features import LABELS, DoaFeature, PipelineConfig
-from .util import canonical_json, json_numbers, write_text
+from .util import canonical_json, json_numbers, plain, write_text
 
 CLASS_ORDER = LABELS  # (left, front, right, none)
 
@@ -87,7 +87,7 @@ class SvmModel:
             "lambda": float(self.lam),
             "seed": int(self.seed),
             "feature_dim": self.feature_dim,
-            "config": self.config.to_dict(),
+            "config": plain(self.config),
         }
 
 

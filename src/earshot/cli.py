@@ -40,7 +40,7 @@ from .features import (
     save_features,
 )
 from .synth import make_benchmark
-from .util import canonical_json, config_hash, csv_text, write_text
+from .util import canonical_json, config_hash, csv_text, plain, write_text
 
 
 class UsageError(Exception):
@@ -156,7 +156,7 @@ def _require_config_match(stored: PipelineConfig, run: dict, source: str) -> Non
     if stored != _pipeline(run):
         raise ValueError(
             f"{source} was built with a different extraction config "
-            f"{canonical_json(stored.to_dict())}; pass matching flags or a matching --config"
+            f"{canonical_json(plain(stored))}; pass matching flags or a matching --config"
         )
 
 
@@ -166,8 +166,12 @@ def cmd_doa(args, run: dict) -> int:
     clip = load_wav(args.wav, max(n_frames - round(cfg.sample_len * sample_rate), 0), n_frames)
     geometry = load_geometry(args.geometry)
     check_mic_count(clip, geometry, args.wav, args.geometry)
-    # One segment over the whole trailing window: the map of every frame.
-    energies = extract_feature(clip, geometry, replace(cfg, segments=1)).matrix[0]
+    try:
+        # One segment over the whole trailing window: the map of every frame.
+        energies = extract_feature(clip, geometry, replace(cfg, segments=1)).matrix[0]
+    except ValueError as exc:
+        raise ValueError(f"{args.wav}: window ending at t_e {n_frames / sample_rate:.3f} s: "
+                         f"{exc}") from None
     rows = ([repr(float(c)), repr(float(e))] for c, e in zip(cfg.grid.bin_centers, energies))
     _emit(csv_text(_provenance(run), ["azimuth_deg", "energy"], rows), args.out)
     return 0
@@ -198,6 +202,15 @@ def cmd_train(args, run: dict) -> int:
 
 def cmd_predict(args, run: dict) -> int:
     cfg = _pipeline(run)
+    if args.situation in ("left", "right") and args.t0 is None:
+        raise UsageError(f"--situation {args.situation} needs --t0 for scoring")
+    entry = None
+    if args.situation is not None:
+        try:
+            entry = ManifestEntry(wav=args.wav, geometry=args.geometry,
+                                  situation=args.situation, motion="static", t0=args.t0)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     model = load_model(args.model)
     _require_config_match(model.config, run, args.model)
     sample_rate, _ = wav_frames(args.wav)
@@ -207,17 +220,6 @@ def cmd_predict(args, run: dict) -> int:
     clip = load_wav(args.wav)
     geometry = load_geometry(args.geometry)
     check_mic_count(clip, geometry, args.wav, args.geometry)
-    if args.situation in ("left", "right") and args.t0 is None:
-        raise UsageError(f"--situation {args.situation} needs --t0 for scoring")
-    entry = None
-    if args.situation is not None:
-        entry = ManifestEntry(
-            wav=args.wav,
-            geometry=args.geometry,
-            situation=args.situation,
-            motion="static",
-            t0=args.t0,
-        )
     try:
         scores = sliding_window_eval(
             entry, model, cfg, hop_seconds=run["stride"], clip=clip, geometry=geometry

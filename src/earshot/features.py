@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .audio import ArrayGeometry, AudioClip
 from .beamform import AzimuthGrid, srp_phat_segments
 from .stft import stft
-from .util import config_hash, csv_text, read_csv, write_text
+from .util import config_hash, csv_text, plain, read_csv, write_text
 
 LABELS = ("left", "front", "right", "none")
 _MIRROR_LABEL = {"left": "right", "right": "left", "front": "front", "none": "none"}
@@ -78,12 +78,9 @@ class PipelineConfig:
     def feature_dim(self) -> int:
         return self.segments * self.bins
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Inverse of ``to_dict``; a missing or unknown key is a ValueError."""
+        """Inverse of ``util.plain``; a missing or unknown key is a ValueError."""
         keys = {f.name for f in fields(cls)}
         if not isinstance(d, dict) or set(d) != keys:
             got = sorted(d) if isinstance(d, dict) else type(d).__name__
@@ -95,7 +92,7 @@ class PipelineConfig:
 
     @property
     def hash(self) -> str:
-        return config_hash(self.to_dict())
+        return config_hash(plain(self))
 
 
 @dataclass
@@ -199,7 +196,7 @@ def save_features(samples, path, extra_header: dict | None = None) -> None:
     config = samples[0].feature.config
     if any(s.feature.config != config for s in samples):
         raise ValueError("all samples in one cache must share a config")
-    preamble = {"config": json.dumps(config.to_dict(), sort_keys=True),
+    preamble = {"config": json.dumps(plain(config), sort_keys=True),
                 "config_hash": config.hash, **(extra_header or {})}
     rows = (
         [s.meta.recording_id, s.label, s.meta.environment, s.meta.motion, repr(float(s.meta.t_e))]
@@ -229,17 +226,18 @@ def load_features(path) -> list:
     if stored != config.hash:
         raise ValueError(f"{path}:{at}: config_hash {stored} does not match the config ({config.hash})")
 
-    cols = _cache_columns(config)
     at, header = rows[0]
-    if header != cols:
-        raise ValueError(f"{path}:{at}: expected header {','.join(cols[:6])},...,{cols[-1]}")
+    # The length first: a hand-edited config may claim more columns than memory holds.
+    if len(header) != 5 + config.feature_dim or header != _cache_columns(config):
+        raise ValueError(f"{path}:{at}: expected header recording_id,label,env,motion,t_e,"
+                         f"x_0,...,x_{config.feature_dim - 1}")
     if len(rows) == 1:
         raise ValueError(f"{path}:{at}: no samples after the header")
     samples = []
     for at, parts in rows[1:]:
         try:
-            if len(parts) != len(cols):
-                raise ValueError(f"expected {len(cols)} fields, got {len(parts)}")
+            if len(parts) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(parts)}")
             rid, label, env, motion, t_e = parts[:5]
             if not math.isfinite(float(t_e)):
                 raise ValueError(f"t_e must be finite, got {t_e}")

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels_np
-from .audio import ArrayGeometry, AudioClip, save_geometry, write_wav
+from .audio import ArrayGeometry, AudioClip, write_wav
 from .dataset import ManifestEntry, RecordingManifest, save_manifest
-from .util import build, derive_seed, load_json, parallel_map, plain, save_json
+from .util import derive_seed, load_json, parallel_map, save_json
 
 _MASK_STRIDE = 64  # path validity is re-evaluated every this many samples (1.3 ms)
 _BLOCK = 1 << 15  # samples of the source track positioned and mixed at once
@@ -213,30 +213,16 @@ class Scenario:
         if self.label != "none" and self.path is None:
             raise ValueError(f"{self.label} scenario needs a source path")
 
-    def to_dict(self) -> dict:
-        return plain(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        """Inverse of ``to_dict``; every key it writes is required."""
-        return build(cls, d)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    save_json(scenario, path)
-
 
 def load_scenario(path) -> Scenario:
-    """Read a ``save_scenario`` file (see ``util.load_json``)."""
+    """Read a scenario file written by ``util.save_json`` (see ``util.load_json``)."""
     return load_json(Scenario, path, "scenario")
 
 
 @dataclass
 class RenderedRecording:
     clip: AudioClip
-    label: str
     t0: float | None
-    scenario: Scenario
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +397,7 @@ def render(scenario: Scenario, geometry: ArrayGeometry) -> RenderedRecording:
     peak = float(max(mixed.max(), -mixed.min()))
     if peak > 0.95:
         mixed *= 0.95 / peak
-    return RenderedRecording(AudioClip(mixed, fs), scenario.label, t0, scenario)
+    return RenderedRecording(AudioClip(mixed, fs), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +505,7 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
     geometry = random_planar_array(n_mics, seed=derive_seed(seed, "array"))
     os.makedirs(out_dir, exist_ok=True)
     geom_path = os.path.join(out_dir, "geometry.json")
-    save_geometry(geometry, geom_path)
+    save_json(geometry, geom_path)
 
     situations = ("left", "right", "none")
     written = [geom_path]  # appended to by every scene thread
@@ -547,7 +533,7 @@ def make_benchmark(out_dir, per_class: int = 10, env_type: str = "A", seed: int 
         write_wav(rec.clip, wav_path, encoding=encoding)
         written.append(wav_path)
         scenario_path = os.path.join(out_dir, stem + ".scenario.json")
-        save_scenario(scenario, scenario_path)
+        save_json(scenario, scenario_path)
         written.append(scenario_path)
         return ManifestEntry(wav=stem + ".wav", geometry="geometry.json", situation=situation,
                              environment=env_type, motion="static", t0=rec.t0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -87,13 +88,16 @@ def plain(value):
     return value
 
 
+_type_hints = functools.cache(get_type_hints)  # each lookup evaluates every annotation string
+
+
 def build(kind, data: dict, where: str = ""):
     """Inverse of ``plain`` for the dataclass ``kind``: each field is taken
     by name (a missing one is a KeyError).  None stays None where the type
     allows it, a dataclass field is built the same way, a string is taken as
     it is, and every other field must hold JSON numbers, integers for an
     ``int`` (a ValueError naming ``where`` and the field)."""
-    hints = get_type_hints(kind)
+    hints = _type_hints(kind)
     values = {}
     for f in fields(kind):
         value, key = data[f.name], where + f.name

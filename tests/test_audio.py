@@ -23,12 +23,12 @@ from earshot.audio import (
     WavFormatError,
     load_geometry,
     load_wav,
-    save_geometry,
     wav_frames,
     write_wav,
 )
 from earshot.cli import main
 from earshot.synth import random_planar_array
+from earshot.util import save_json
 from synthref import hann_window, render_plane_wave
 
 EXTENSIBLE = 0xFFFE
@@ -328,7 +328,7 @@ def test_doa_reads_extensible_pcm24(tmp_path, capsys):
     payload = plain.read_bytes()[44:]
     extensible.write_bytes(build_wav(EXTENSIBLE, 8, 48000, 24, payload, guid=sub_format(1)))
     gj = tmp_path / "geom.json"
-    save_geometry(geom, gj)
+    save_json(geom, gj)
     maps = []
     for wav in (plain, extensible):
         out = tmp_path / f"{wav.stem}.csv"
@@ -551,7 +551,7 @@ def test_geometry_mirror_and_subset():
 def test_geometry_json_round_trip(tmp_path):
     geom = ArrayGeometry(np.array([[0.1, 0.2, 0.0], [-0.3, 0.0, 0.05]]), 340.0)
     path = tmp_path / "geom.json"
-    save_geometry(geom, path)
+    save_json(geom, path)
     back = load_geometry(path)
     assert np.array_equal(back.positions, geom.positions)
     assert back.speed_of_sound == 340.0
@@ -617,7 +617,7 @@ def write_edited_geometry(geometry_path, out_path, case):
 @pytest.mark.parametrize("case", sorted(GEOMETRY_EDITS))
 def test_load_geometry_rejects_hand_edited_files(tmp_path, case):
     good = tmp_path / "good.json"
-    save_geometry(random_planar_array(4, seed=1), good)
+    save_json(random_planar_array(4, seed=1), good)
     bad = tmp_path / f"{case}.json"
     message = write_edited_geometry(good, bad, case)
     with pytest.raises(ValueError) as exc:

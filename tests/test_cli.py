@@ -14,7 +14,7 @@ import pytest
 
 import earshot
 from earshot import __version__
-from earshot.audio import AudioClip, load_geometry, load_wav, save_geometry, wav_frames, write_wav
+from earshot.audio import AudioClip, load_geometry, load_wav, wav_frames, write_wav
 from earshot.beamform import srp_phat
 from earshot import cli
 from earshot.cli import build_parser, main, resolve_run_config
@@ -23,7 +23,7 @@ from earshot.evaluate import window_times
 from earshot.features import PipelineConfig
 from earshot.stft import band_select, stft
 from earshot.synth import random_planar_array
-from earshot.util import config_hash, read_csv
+from earshot.util import config_hash, read_csv, save_json
 
 from synthref import render_plane_wave
 from test_audio import GEOMETRY_EDITS, build_wav, write_edited_geometry
@@ -60,7 +60,7 @@ def front_wav(tmp_path_factory):
     wav = d / "front.wav"
     gj = d / "geom.json"
     write_wav(clip, wav, encoding="float32")
-    save_geometry(geom, gj)
+    save_json(geom, gj)
     return wav, gj
 
 
@@ -334,6 +334,30 @@ def test_predict_side_truth_requires_t0(arts, bench_manifest, capsys):
     assert "needs --t0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truth, message", [
+    (["--situation", "left"], "--situation left needs --t0 for scoring"),
+    (["--situation", "right", "--t0", "nan"], "t0 and tau0 must be finite, got nan"),
+    (["--situation", "right", "--t0", "inf"], "t0 and tau0 must be finite, got inf"),
+    (["--situation", "none", "--t0=-inf"], "t0 and tau0 must be finite, got -inf"),
+], ids=["left-without-t0", "right-nan", "right-inf", "none-minus-inf"])
+def test_predict_checks_its_truth_flags_before_reading(arts, front_wav, monkeypatch, capsys,
+                                                       truth, message):
+    """A side truth without --t0, or a non-finite --t0, exits 2 with one line
+    before the model or the recording is read."""
+    wav, gj = front_wav
+    reads = []
+
+    def spy(load):
+        return lambda *a, **k: reads.append(a) or load(*a, **k)
+
+    monkeypatch.setattr(cli, "load_model", spy(cli.load_model))
+    monkeypatch.setattr(cli, "load_wav", spy(cli.load_wav))
+    assert main(["predict", str(wav), str(gj), "--model", str(arts["model"]), *truth]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("earshot: error:") and err.count("\n") == 1 and message in err
+    assert reads == []
+
+
 def test_reruns_are_byte_identical(tmp_path, arts, bench_dir, capsys):
     """Same inputs and seed reproduce every artifact exactly."""
     f2 = tmp_path / "features2.csv"
@@ -458,7 +482,7 @@ def test_extract_and_micstudy_name_both_files_on_a_mic_count_mismatch(tmp_path, 
     """A row whose geometry holds 4 microphones for an 8-channel WAV: exit 4
     with one `earshot: error:` line naming the WAV and the geometry."""
     four = tmp_path / "four.json"
-    save_geometry(random_planar_array(4, seed=2), four)
+    save_json(random_planar_array(4, seed=2), four)
     entries = list(bench_manifest)
     entries[3] = replace(entries[3], geometry=str(four))
     manifest = tmp_path / "manifest.csv"
@@ -475,7 +499,7 @@ def test_doa_and_predict_name_both_files_on_a_mic_count_mismatch(tmp_path, arts,
     `earshot: error:` line naming the WAV and the geometry."""
     wav, _ = front_wav
     eight = tmp_path / "eight.json"
-    save_geometry(random_planar_array(8, seed=2), eight)
+    save_json(random_planar_array(8, seed=2), eight)
     message = f"{wav} has 6 channels but {eight} has 8 microphones"
     assert_exit_4(["doa", str(wav), str(eight)], capsys, message)
     assert_exit_4(["predict", str(wav), str(eight), "--model", str(arts["model"])], capsys,
@@ -622,8 +646,9 @@ def test_predict_refuses_a_stride_below_one_sample_before_reading(arts, front_wa
 
 def test_a_non_finite_sample_names_its_recording_and_window(tmp_path, arts, capsys):
     """One NaN, +inf or -inf in one recording of a float32 corpus: extract,
-    micstudy and predict exit 4 with one line naming that WAV and the
-    failing window's t_e, and print no warning."""
+    micstudy, predict and doa exit 4 with one line naming that WAV and the
+    failing window's t_e, and print no warning.  So does a doa window longer
+    than the recording."""
     assert main(["simulate", "--out", str(tmp_path), "--per-class", "2", "--mics", "4",
                  "--encoding", "float32", "--seed", "3"]) == 0
     manifest = tmp_path / "manifest.csv"
@@ -651,6 +676,13 @@ def test_a_non_finite_sample_names_its_recording_and_window(tmp_path, arts, caps
         assert not (tmp_path / "f.csv").exists()
         assert_exit_4(["predict", bad.wav, bad.geometry, "--model", str(arts["model"])], capsys,
                       f"{bad.wav}: window ending at t_e {t_e:.3f} s: feature energies must be finite")
+        # doa over the whole recording, whose STFT frames reach the sample
+        assert_exit_4(["doa", bad.wav, bad.geometry, "--window", repr(n_frames / rate)], capsys,
+                      f"{bad.wav}: window ending at t_e {n_frames / rate:.3f} s: "
+                      "feature energies must be finite")
+    assert_exit_4(["doa", bad.wav, bad.geometry, "--window", "30"], capsys,
+                  f"{bad.wav}: window ending at t_e {n_frames / rate:.3f} s: "
+                  f"cannot take trailing 30.0 s from a {n_frames / rate:.3f} s clip")
 
 
 def test_a_second_call_builds_no_parser(monkeypatch, capsys):

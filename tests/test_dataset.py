@@ -33,8 +33,7 @@ from earshot.features import (
     save_features,
 )
 from earshot.synth import random_planar_array
-from earshot.util import parallel_map
-from earshot.audio import save_geometry
+from earshot.util import parallel_map, save_json
 
 from synthref import stratified_folds_reference
 
@@ -86,7 +85,7 @@ def test_recording_id_is_wav_stem():
 
 def test_manifest_round_trip(tmp_path):
     geom = random_planar_array(3, seed=0)
-    save_geometry(geom, tmp_path / "g.json")
+    save_json(geom, tmp_path / "g.json")
     clip = AudioClip(np.zeros((3, 100)), 48000)
     write_wav(clip, tmp_path / "a.wav")
     write_wav(clip, tmp_path / "b.wav")
@@ -286,7 +285,7 @@ def test_extract_window_bounds(tmp_path):
     geom = random_planar_array(3, seed=1)
     clip = AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, (3, 48000 * 3)), 48000)
     write_wav(clip, tmp_path / "r.wav")
-    save_geometry(geom, tmp_path / "g.json")
+    save_json(geom, tmp_path / "g.json")
     cfg = PipelineConfig()
 
     def at(t0):
@@ -407,7 +406,7 @@ def test_extract_names_the_files_when_channels_do_not_fit(tmp_path, bench_manife
     with pytest.raises(ValueError, match="outside its 8 channels"):
         extract_samples(e, default_config, [-1])
     four = tmp_path / "four.json"
-    save_geometry(random_planar_array(4, seed=2), four)
+    save_json(random_planar_array(4, seed=2), four)
     with pytest.raises(ValueError) as got:
         extract_samples(dataclasses.replace(e, geometry=str(four)), default_config)
     assert str(got.value) == f"{e.wav} has 8 channels but {four} has 4 microphones"

@@ -1,6 +1,7 @@
 """Stacked DoA features, mirroring and the feature cache format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from earshot.features import (
     save_features,
 )
 from earshot.synth import random_planar_array
-from earshot.util import config_hash
+from earshot.util import config_hash, plain
 from synthref import render_plane_wave
 
 GEOM = random_planar_array(6, seed=4)
@@ -222,7 +223,7 @@ def test_config_validation_and_hash():
     a, b = PipelineConfig(), PipelineConfig()
     assert a.hash == b.hash and len(a.hash) == 12
     assert PipelineConfig(bins=10).hash != a.hash
-    assert PipelineConfig.from_dict(a.to_dict()) == a
+    assert PipelineConfig.from_dict(plain(a)) == a
 
 
 def test_window_too_short_for_segments():
@@ -381,8 +382,27 @@ def test_load_features_rejects_hand_edited_caches(tmp_path, cache_file, case):
     assert message in str(exc.value)
 
 
+def test_a_cache_claiming_a_huge_feature_dimension_is_refused_before_allocating(tmp_path,
+                                                                               cache_file):
+    """A config edited to claim 10**6 feature columns, its hash recomputed,
+    fails on the header's length before a name is built for each column."""
+    bad = tmp_path / "huge.csv"
+    lines = cache_file.read_text().splitlines()
+    _edit_config_and_hash(lambda c: c.update(segments=1, bins=10**6))(lines)
+    bad.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r":\d+: expected header recording_id,label,env,"
+                                             r"motion,t_e,x_0,\.\.\.,x_999999$"):
+            load_features(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_pipeline_config_from_dict_wants_exactly_its_keys():
-    full = PipelineConfig().to_dict()
+    full = plain(PipelineConfig())
     for bad in ({k: v for k, v in full.items() if k != "hop"}, {**full, "taps": 3},
                 {**full, "bins": "30"}, [1, 2]):
         with pytest.raises(ValueError):

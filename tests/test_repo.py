@@ -28,8 +28,8 @@ def test_no_tracked_file_is_ignored():
 
 
 def _imports_outside_util(packages):
-    """``module: name`` for each import of one of ``packages`` by a package
-    module other than util.py."""
+    """``module: name`` for each import of one of ``packages``, a module or a
+    ``module.name`` in it, by a package module other than util.py."""
     offenders = []
     for path in sorted((ROOT / "src" / "earshot").glob("*.py")):
         if path.name == "util.py":
@@ -38,10 +38,11 @@ def _imports_outside_util(packages):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in packages]
+            offenders += [f"{path.name}: {n}" for n in names
+                          if any(n == p or n.startswith(p + ".") for p in packages)]
     return offenders
 
 
@@ -49,6 +50,12 @@ def test_only_util_reads_and_writes_csv():
     """The CSV artifact format lives in util.py (csv_text and read_csv): no
     other module imports csv or io, so no second private codec grows back."""
     assert _imports_outside_util(("csv", "io")) == []
+
+
+def test_only_util_converts_dataclasses():
+    """The dataclass codec lives in util.py (plain and build): no other module
+    imports asdict or astuple from dataclasses, so no second codec grows back."""
+    assert _imports_outside_util(("dataclasses.asdict", "dataclasses.astuple")) == []
 
 
 def test_only_util_starts_threads():

@@ -30,11 +30,10 @@ from earshot.synth import (
     make_benchmark,
     random_planar_array,
     render,
-    save_scenario,
     t_junction_scenario,
     t_junction_walls,
 )
-from earshot.util import derive_seed
+from earshot.util import build, derive_seed, plain, save_json
 from synthref import image_sources, line_of_sight, specular_valid
 
 WALL_X = np.array([[[0.0, -1.0], [0.0, 1.0]]])  # a wall along the z axis
@@ -188,7 +187,7 @@ def test_scenario_validation():
 def test_scenario_json_round_trip(tmp_path):
     scenario = t_junction_scenario("right", env_type="B", seed=21, speed_kmh=17.5)
     path = tmp_path / "scene.json"
-    save_scenario(scenario, path)
+    save_json(scenario, path)
     back = load_scenario(path)
     assert back.label == scenario.label
     assert back.duration == scenario.duration
@@ -502,9 +501,9 @@ def _zigzag_scene(seed):
              pose=ArrayPose((1.5, -2.0), heading_deg=-30.0), snr_db=9.0, noise_floor=0.01),
 ], ids=["zigzag", "none"])
 def test_scenario_dict_round_trip(scenario):
-    """from_dict(to_dict(s)) rebuilds every field, path None included."""
-    back = Scenario.from_dict(scenario.to_dict())
-    assert back.to_dict() == scenario.to_dict()
+    """build(Scenario, plain(s)) rebuilds every field, path None included."""
+    back = build(Scenario, plain(scenario))
+    assert plain(back) == plain(scenario)
     assert (back.path is None) == (scenario.path is None)
     assert back.signal == scenario.signal and back.pose == scenario.pose
     geom = random_planar_array(3, seed=4)
@@ -514,15 +513,15 @@ def test_scenario_dict_round_trip(scenario):
 @pytest.mark.parametrize("key", ["walls", "path", "signal", "pose", "snr_db", "noise_floor",
                                  "signal.band", "signal.tone_gain", "pose.heading_deg"])
 def test_scenario_dict_missing_key_raises(key):
-    """to_dict writes every key, so from_dict takes none of them as a default."""
-    d = _zigzag_scene(3).to_dict()
+    """plain writes every key, so build takes none of them as a default."""
+    d = plain(_zigzag_scene(3))
     outer, _, inner = key.partition(".")
     if inner:
         del d[outer][inner]
     else:
         del d[outer]
     with pytest.raises(KeyError):
-        Scenario.from_dict(d)
+        build(Scenario, d)
 
 
 @pytest.mark.parametrize("make, name", [
@@ -569,15 +568,15 @@ def _scenarios(draw):
 @settings(max_examples=100, deadline=None)
 @given(scenario=_scenarios())
 def test_scenario_file_round_trip(tmp_path_factory, scenario):
-    """load_scenario(save_scenario(s)) gives s back field for field, and
+    """load_scenario(save_json(s)) gives s back field for field, and
     saving the loaded scene again writes the same bytes."""
     path = tmp_path_factory.mktemp("scene") / "scene.json"
-    save_scenario(scenario, path)
+    save_json(scenario, path)
     back = load_scenario(path)
-    assert back.to_dict() == scenario.to_dict()
+    assert plain(back) == plain(scenario)
     assert back.signal == scenario.signal and back.pose == scenario.pose
     again = path.with_name("again.json")
-    save_scenario(back, again)
+    save_json(back, again)
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -641,7 +640,7 @@ SCENARIO_EDITS = {
 def test_load_scenario_rejects_hand_edited_files(tmp_path, case):
     """Each edit is one ValueError that starts with the file's path."""
     good = tmp_path / "good.json"
-    save_scenario(t_junction_scenario("left", seed=3), good)
+    save_json(t_junction_scenario("left", seed=3), good)
     edit, message = SCENARIO_EDITS[case]
     bad = tmp_path / f"{case}.json"
     bad.write_text(edit(good.read_text()))
